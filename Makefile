@@ -80,12 +80,6 @@ verify: build test
 	cmp /tmp/beatbgp_serve_a.snap /tmp/beatbgp_serve_b.snap
 	dune exec bin/beatbgp_cli.exe -- serve --small --churn --snapshot /tmp/beatbgp_serve_a.snap < test/golden/serve_smoke_queries.txt > /tmp/beatbgp_serve_loaded.out
 	diff -u /tmp/beatbgp_serve_smoke.out /tmp/beatbgp_serve_loaded.out
-	# Snapshot schema skew: a v1-written snapshot (legacy stream format)
-	# and a v2-written one (mmap arena format, the default) must both
-	# load and answer the churned query stream byte-identically.
-	dune exec bin/beatbgp_cli.exe -- serve --small --churn --save-snapshot /tmp/beatbgp_serve_v1.snap --snapshot-version 1 < /dev/null > /dev/null
-	dune exec bin/beatbgp_cli.exe -- serve --small --churn --snapshot /tmp/beatbgp_serve_v1.snap < test/golden/serve_smoke_queries.txt > /tmp/beatbgp_serve_v1.out
-	diff -u /tmp/beatbgp_serve_smoke.out /tmp/beatbgp_serve_v1.out
 	# Concurrent serving: three interleaved client streams must receive
 	# byte-identical responses at 1 vs 4 domains, and each client's
 	# responses must equal the stream served alone on a fresh daemon.
@@ -106,7 +100,7 @@ verify: build test
 	printf 'EXPLAIN anycast 39\nPROM\nQUIT\n' | dune exec bin/beatbgp_cli.exe -- serve --small > /tmp/beatbgp_serve_explain_prom.out
 	grep -q '# TYPE netsim_provenance_decisions_peer_total counter' /tmp/beatbgp_serve_explain_prom.out
 	grep -q 'netsim_provenance_tiebreak_stable_id_total' /tmp/beatbgp_serve_explain_prom.out
-	dune exec bin/beatbgp_cli.exe -- --version | grep -q 'snapshot BBGPSNAP/1-2'
+	dune exec bin/beatbgp_cli.exe -- --version | grep -q 'snapshot BBGPSNAP/2'
 	dune exec bin/beatbgp_cli.exe -- --version | grep -q 'beatbgp.provenance/1'
 	@echo "verify: OK"
 

@@ -2,7 +2,7 @@
 
      dune exec bench/micro_serve.exe -- [--out FILE] [--history FILE]
        [--gate-trend] [--clients N] [--gate-parallel]
-       [--load] [--gate-load X] [queries]
+       [--load] [queries]
 
    Sequential mode drives a seed-built server through a round-robin
    CATCHMENT / RTT / EGRESS / STATS request mix via the real request
@@ -20,10 +20,10 @@
 
    --gate-parallel enforces the concurrency acceptance bound: quiet
    parallel throughput >= 2x quiet sequential throughput (CI runs it
-   at NETSIM_DOMAINS=4).  --load benchmarks snapshot loading at the
-   internet scale of bench/micro_scale (v1 heap decode vs v2 mmap
-   arena, identity-checked first) under variant "load_n<ases>";
-   --gate-load X enforces v2 >= Xx faster than v1. *)
+   at NETSIM_DOMAINS=4).  --load benchmarks snapshot loading (the
+   mmap arena path, identity-checked first) at the internet scale of
+   bench/micro_scale and records load time, file size and peak RSS
+   under variant "load_n<ases>", which --gate-trend gates. *)
 
 module Server = Netsim_serve.Server
 module Snapshot = Netsim_serve.Snapshot
@@ -132,7 +132,7 @@ let drive_parallel ~churn ~clients ~queries =
   in
   (float_of_int (clients * per_client) /. elapsed, worst_p99)
 
-(* ---- snapshot load: v1 heap decode vs v2 mmap arena ------------------- *)
+(* ---- snapshot load at internet scale ---------------------------------- *)
 
 let time_best_of_3 f =
   let best = ref infinity in
@@ -188,71 +188,59 @@ let scale_snapshot ~origins =
     overlays = [];
   }
 
-let bench_load ~out ~history ~gate_load ~origins =
+let bench_load ~out ~history ~gate_trend ~origins =
   let snap = scale_snapshot ~origins in
   let n = Topology.as_count snap.Snapshot.base in
-  let path_v1 = Filename.temp_file "beatbgp_snap_v1" ".bin" in
-  let path_v2 = Filename.temp_file "beatbgp_snap_v2" ".bin" in
+  let path = Filename.temp_file "beatbgp_snap" ".bin" in
   Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove path_v1 with Sys_error _ -> ());
-      try Sys.remove path_v2 with Sys_error _ -> ())
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Snapshot.save ~version:Snapshot.schema_version snap ~path:path_v1;
-      Snapshot.save ~version:Snapshot.schema_version_v2 snap ~path:path_v2;
-      let load path =
+      Snapshot.save snap ~path;
+      let load () =
         match Snapshot.load ~path with
         | Ok s -> s
         | Error e ->
             Printf.printf "FAIL: load %s: %s\n" path e;
             exit 1
       in
-      (* Correctness before speed: both load paths must produce the
-         same snapshot, byte-for-byte under re-encoding. *)
-      let s1 = load path_v1 and s2 = load path_v2 in
-      if Snapshot.to_bytes_v2 s1 <> Snapshot.to_bytes_v2 s2 then begin
-        Printf.printf "FAIL: v1 and v2 loads of the same state differ\n";
+      (* Correctness before speed: the loaded state must re-encode to
+         the bytes it was saved from. *)
+      if Snapshot.to_bytes (load ()) <> Snapshot.to_bytes snap then begin
+        Printf.printf "FAIL: loaded snapshot differs from the saved state\n";
         exit 1
       end;
-      let v1_s = time_best_of_3 (fun () -> ignore (load path_v1)) in
-      let v2_s = time_best_of_3 (fun () -> ignore (load path_v2)) in
-      let speedup = v1_s /. v2_s in
-      let size_v1 = (Unix.stat path_v1).Unix.st_size in
-      let size_v2 = (Unix.stat path_v2).Unix.st_size in
+      let load_s = time_best_of_3 (fun () -> ignore (load ())) in
+      let size = (Unix.stat path).Unix.st_size in
+      let rss_kb = peak_rss_kb () in
       Printf.printf
-        "serve-load: %d ASes  %d ribs  v1 %.3f s (%d bytes)  v2 %.3f s (%d \
-         bytes)  speedup %.2fx\n"
+        "serve-load: %d ASes  %d ribs  load %.3f s (%d bytes)  peak RSS %d kB\n"
         n
         (List.length snap.Snapshot.ribs)
-        v1_s size_v1 v2_s size_v2 speedup;
+        load_s size rss_kb;
       Bench_support.Bench_out.write ~out ~bench:"serve_load"
         [
           ("as_count", Jsonx.Int n);
           ("ribs", Jsonx.Int (List.length snap.Snapshot.ribs));
-          ("load_v1_s", Jsonx.Float v1_s);
-          ("load_v2_s", Jsonx.Float v2_s);
-          ("load_speedup", Jsonx.Float speedup);
-          ("size_v1_bytes", Jsonx.Int size_v1);
-          ("size_v2_bytes", Jsonx.Int size_v2);
-          ("peak_rss_kb", Jsonx.Int (peak_rss_kb ()));
+          ("load_s", Jsonx.Float load_s);
+          ("size_bytes", Jsonx.Int size);
+          ("peak_rss_kb", Jsonx.Int rss_kb);
         ];
       let variant = Printf.sprintf "load_n%d" n in
-      Bench_support.Trend.append ~history ~bench:"serve" ~variant
+      let metrics =
         Bench_support.Trend.
           [
-            metric "load_v1_s" v1_s;
-            metric "load_v2_s" v2_s;
-            metric ~lower_better:false "load_speedup" speedup;
-          ];
-      match gate_load with
-      | Some x when speedup < x ->
-          Printf.printf
-            "FAIL: v2 mmap load under %.1fx faster than v1 decode (%.2fx)\n" x
-            speedup;
-          exit 1
-      | Some x ->
-          Printf.printf "gate-load: OK (%.2fx >= %.1fx)\n" speedup x
-      | None -> ())
+            metric "load_s" load_s;
+            metric "size_bytes" (float_of_int size);
+            metric "peak_rss_kb" (float_of_int rss_kb);
+          ]
+      in
+      let trend_ok =
+        (not gate_trend)
+        || Bench_support.Trend.gate ~history ~bench:"serve" ~variant
+             ~label:"gate-trend" metrics
+      in
+      Bench_support.Trend.append ~history ~bench:"serve" ~variant metrics;
+      if not trend_ok then exit 1)
 
 let bench ~out ~history ~gate_trend ~gate_parallel ~clients ~queries =
   let qps, p99_us = drive ~churn:false ~queries in
@@ -337,7 +325,6 @@ let () =
   let gate_parallel = ref false in
   let clients = ref 8 in
   let load = ref false in
-  let gate_load = ref None in
   let origins = ref 8 in
   let rec parse ~out ~queries = function
     | [] -> (out, queries)
@@ -357,10 +344,6 @@ let () =
     | "--load" :: rest ->
         load := true;
         parse ~out ~queries rest
-    | "--gate-load" :: x :: rest ->
-        load := true;
-        gate_load := Some (float_of_string x);
-        parse ~out ~queries rest
     | "--origins" :: n :: rest ->
         origins := int_of_string n;
         parse ~out ~queries rest
@@ -369,7 +352,7 @@ let () =
   let out, queries = parse ~out:"BENCH_serve.json" ~queries:2000 args in
   if !load then
     bench_load ~out:"BENCH_serve_load.json" ~history:!history
-      ~gate_load:!gate_load ~origins:!origins
+      ~gate_trend:!gate_trend ~origins:!origins
   else
     bench ~out ~history:!history ~gate_trend:!gate_trend
       ~gate_parallel:!gate_parallel ~clients:!clients ~queries

@@ -403,9 +403,8 @@ let run_topo ~sizes ~csv =
 
 (* ---- the query daemon ---- *)
 
-let run_serve small seed prefixes pops track snapshot save_snapshot
-    snapshot_version streams listen_port churn churn_days batch batch_min
-    event_log =
+let run_serve small seed prefixes pops track snapshot save_snapshot streams
+    listen_port churn churn_days batch batch_min event_log =
   let module Server = Netsim_serve.Server in
   let module Snapshot = Netsim_serve.Snapshot in
   (* The daemon always meters itself: PROM answers come from the
@@ -445,10 +444,8 @@ let run_serve small seed prefixes pops track snapshot save_snapshot
   in
   (match save_snapshot with
   | Some path -> (
-      try Snapshot.save ?version:snapshot_version (Server.snapshot server) ~path
-      with
-      | Sys_error e -> die e
-      | Invalid_argument e -> die e)
+      try Snapshot.save (Server.snapshot server) ~path
+      with Sys_error e -> die e)
   | None -> ());
   (match (streams, listen_port) with
   | Some spec, _ ->
@@ -481,7 +478,8 @@ let run_serve small seed prefixes pops track snapshot save_snapshot
           List.iter print_string resp)
         responses
   | None, Some port -> Server.listen server ~port
-  | None, None -> Server.serve_channels server stdin stdout);
+  | None, None ->
+      Server.serve_fds server ~input:Unix.stdin ~output:Unix.stdout);
   match event_log with
   | Some path -> (
       try Netsim_obs.Report.write_text path (Netsim_obs.Recorder.to_jsonl ())
@@ -514,14 +512,6 @@ let serve_cmd =
       & info [ "save-snapshot" ] ~docv:"FILE"
           ~doc:"Write a binary snapshot of the serving state at startup, \
                 then serve.")
-  in
-  let snapshot_version_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-version" ] ~docv:"N"
-          ~doc:"Schema version for $(b,--save-snapshot): 1 (heap-decoded \
-                stream) or 2 (mmap-able arena, the default).")
   in
   let streams_t =
     Arg.(
@@ -579,9 +569,8 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man)
     Term.(
       const run_serve $ small_t $ seed_t $ prefixes_t $ pops_t $ track_t
-      $ snapshot_t $ save_snapshot_t $ snapshot_version_t $ streams_t
-      $ listen_t $ churn_t $ churn_days_t $ batch_t $ batch_min_t
-      $ event_log_t)
+      $ snapshot_t $ save_snapshot_t $ streams_t $ listen_t $ churn_t
+      $ churn_days_t $ batch_t $ batch_min_t $ event_log_t)
 
 (* ---- internet scale ---- *)
 
@@ -768,10 +757,10 @@ let cmd name doc f =
    snapshots, event logs and bench JSON alike. *)
 let version_string =
   Printf.sprintf
-    "%s (events %s, snapshot %s/%d-%d, provenance %s, bench schema %d)"
+    "%s (events %s, snapshot %s/%d, provenance %s, bench schema %d)"
     (Netsim_serve.Version.git_sha ())
     Netsim_obs.Recorder.schema Netsim_serve.Snapshot.magic
-    Netsim_serve.Snapshot.schema_version Netsim_serve.Snapshot.schema_version_v2
+    Netsim_serve.Snapshot.schema_version
     Netsim_obs.Provenance.schema Bench_support.Bench_out.schema_version
 
 let main =

@@ -1543,7 +1543,7 @@ let klass_of_cls = function
   | 1 -> Route.Peer
   | _ -> Route.Provider
 
-let runner_of_packed klass v =
+let unpack_runner klass v =
   { r_klass = klass; r_path_len = e_len v; r_next_hop = e_parent v;
     r_link_id = e_link v }
 
@@ -1573,11 +1573,11 @@ let decision s x =
              best entry of the next non-empty class. *)
           let runner =
             let same = Provenance.runner_up pva ~cls x in
-            if same >= 0 then Some (runner_of_packed klass same)
+            if same >= 0 then Some (unpack_runner klass same)
             else if cls = 0 && s.peer.(x) >= 0 then
-              Some (runner_of_packed Route.Peer s.peer.(x))
+              Some (unpack_runner Route.Peer s.peer.(x))
             else if cls <= 1 && s.prov.(x) >= 0 then
-              Some (runner_of_packed Route.Provider s.prov.(x))
+              Some (unpack_runner Route.Provider s.prov.(x))
             else None
           in
           Some

@@ -97,7 +97,7 @@ type t = {
   asid : int;
   pops : int list;
   prefixes : Prefix.t array;
-  session0 : session;  (** the stdin / [handle_line] session *)
+  session0 : session;  (** the [handle_line] session *)
   mutable pop_index : (int, Prefix.t list) Hashtbl.t option;
   mutable queries : int;  (** across all sessions *)
   mutable stopped : bool;
@@ -857,8 +857,9 @@ let run_work t (w : work) =
       record_query t ~q:w.w_q ~verb:w.w_verb ~ok:false;
       (Protocol.frame ~ok:false e, us)
 
-(* Sequential path: plan and run immediately.  Byte-for-byte the
-   behaviour of the pre-concurrency request loop. *)
+(* The sequential reference: plan and run each line immediately.  The
+   round executor below must answer every session byte-identically to
+   this; tests and the parallel benchmark compare against it. *)
 let session_line t (s : session) line =
   let framed =
     match ingest t s line with
@@ -878,18 +879,6 @@ let session_line t (s : session) line =
   (framed, not s.s_stopped)
 
 let handle_line t line = session_line t t.session0 line
-
-let serve_channels t ic oc =
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
-        let resp, cont = handle_line t line in
-        output_string oc resp;
-        flush oc;
-        if cont then loop ()
-  in
-  loop ()
 
 (* ---- the concurrent executor ------------------------------------------
 
@@ -990,16 +979,22 @@ let serve_streams ?on_latency t streams =
   done;
   Array.map List.rev out
 
-(* ---- TCP listener ----------------------------------------------------- *)
+(* ---- the serving loop ------------------------------------------------ *)
 
 let rec retry_eintr f =
   try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
 
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 (* Per-connection state: raw bytes in, complete request lines queued,
-   framed responses out (written incrementally under O_NONBLOCK so one
-   stalled client cannot wedge the daemon). *)
+   framed responses out (written incrementally, so under O_NONBLOCK
+   one stalled client cannot wedge the daemon).  A TCP connection
+   reads and writes one socket; the stdio connection reads one fd and
+   writes another, and the serving loop never closes it. *)
 type conn = {
-  c_fd : Unix.file_descr;
+  c_in : Unix.file_descr;
+  c_out : Unix.file_descr;
+  c_owned : bool;  (** closed by the serving loop once finished *)
   c_session : session;
   c_rbuf : Buffer.t;
   c_lines : string Queue.t;
@@ -1014,10 +1009,11 @@ type conn = {
    protocol; drop it rather than buffer unboundedly. *)
 let max_buffered_input = 1 lsl 20
 
-let conn_of_fd fd =
-  Unix.set_nonblock fd;
+let new_conn ~owned c_in c_out =
   {
-    c_fd = fd;
+    c_in;
+    c_out;
+    c_owned = owned;
     c_session = new_session ();
     c_rbuf = Buffer.create 256;
     c_lines = Queue.create ();
@@ -1046,8 +1042,14 @@ let split_lines c =
 
 let read_conn c =
   let buf = Bytes.create 65536 in
-  match Unix.read c.c_fd buf 0 (Bytes.length buf) with
-  | 0 -> c.c_eof <- true
+  match Unix.read c.c_in buf 0 (Bytes.length buf) with
+  | 0 ->
+      (* A final line without a newline is still a request. *)
+      c.c_eof <- true;
+      if Buffer.length c.c_rbuf > 0 then begin
+        Queue.push (Buffer.contents c.c_rbuf) c.c_lines;
+        Buffer.clear c.c_rbuf
+      end
   | n ->
       Buffer.add_subbytes c.c_rbuf buf 0 n;
       split_lines c
@@ -1060,7 +1062,7 @@ let rec flush_conn c =
   if (not c.c_dead) && not (Queue.is_empty c.c_outq) then begin
     let s = Queue.peek c.c_outq in
     match
-      Unix.single_write_substring c.c_fd s c.c_out_off
+      Unix.single_write_substring c.c_out s c.c_out_off
         (String.length s - c.c_out_off)
     with
     | written ->
@@ -1084,41 +1086,37 @@ let conn_finished c =
   || (c.c_session.s_stopped && Queue.is_empty c.c_outq)
   || (c.c_eof && Queue.is_empty c.c_lines && Queue.is_empty c.c_outq)
 
-let listen ?port_ready t ~port =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock 16;
-  (match port_ready with
-  | Some f -> (
-      match Unix.getsockname sock with
-      | Unix.ADDR_INET (_, p) -> f p
-      | Unix.ADDR_UNIX _ -> ())
-  | None -> ());
-  let conns = ref [] in
-  let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
+let close_conn c = if c.c_owned then close_fd c.c_in
+
+(* The one serving loop: [select] over the connections (and the
+   listening socket, if any), one scheduling round per wakeup.  It
+   ends when no connection remains and nothing more can be accepted:
+   at once without a socket, after QUIT with one. *)
+let drive ?sock t conns =
+  (* A peer that resets, or a closed stdout pipe, must surface as
+     EPIPE on that connection, not kill the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let conns = ref conns in
   Fun.protect
-    ~finally:(fun () ->
-      close_fd sock;
-      List.iter (fun c -> close_fd c.c_fd) !conns)
+    ~finally:(fun () -> List.iter close_conn !conns)
     (fun () ->
-      (* QUIT stops accepting; the daemon exits once the remaining
-         connections have drained. *)
-      while not (t.stopped && !conns = []) do
-        let accepting = not t.stopped in
+      while !conns <> [] || (sock <> None && not t.stopped) do
+        let accepting =
+          match sock with Some s when not t.stopped -> [ s ] | _ -> []
+        in
         let rset =
-          (if accepting then [ sock ] else [])
+          accepting
           @ List.filter_map
               (fun c ->
                 if c.c_dead || c.c_eof || c.c_session.s_stopped then None
-                else Some c.c_fd)
+                else Some c.c_in)
               !conns
         in
         let wset =
           List.filter_map
             (fun c ->
               if (not c.c_dead) && not (Queue.is_empty c.c_outq) then
-                Some c.c_fd
+                Some c.c_out
               else None)
             !conns
         in
@@ -1138,11 +1136,15 @@ let listen ?port_ready t ~port =
             retry_eintr (fun () ->
                 Unix.select rset wset [] (if backlog then 0. else -1.))
         in
-        (if List.mem sock r then
-           match retry_eintr (fun () -> Unix.accept sock) with
-           | fd, _ -> conns := !conns @ [ conn_of_fd fd ]
-           | exception Unix.Unix_error _ -> ());
-        List.iter (fun c -> if List.mem c.c_fd r then read_conn c) !conns;
+        (match accepting with
+        | [ s ] when List.mem s r -> (
+            match retry_eintr (fun () -> Unix.accept s) with
+            | fd, _ ->
+                Unix.set_nonblock fd;
+                conns := !conns @ [ new_conn ~owned:true fd fd ]
+            | exception Unix.Unix_error _ -> ())
+        | _ -> ());
+        List.iter (fun c -> if List.mem c.c_in r then read_conn c) !conns;
         (* One scheduling round over the live connections, accept
            order. *)
         let cs = Array.of_list !conns in
@@ -1164,7 +1166,7 @@ let listen ?port_ready t ~port =
           List.filter
             (fun c ->
               if conn_finished c then begin
-                close_fd c.c_fd;
+                close_conn c;
                 false
               end
               else true)
@@ -1172,6 +1174,24 @@ let listen ?port_ready t ~port =
         Metrics.set_runtime "serve.clients.active"
           (float_of_int (List.length !conns))
       done)
+
+let serve_fds t ~input ~output = drive t [ new_conn ~owned:false input output ]
+
+let listen ?port_ready t ~port =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> close_fd sock)
+    (fun () ->
+      Unix.setsockopt sock Unix.SO_REUSEADDR true;
+      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.listen sock 16;
+      (match port_ready with
+      | Some f -> (
+          match Unix.getsockname sock with
+          | Unix.ADDR_INET (_, p) -> f p
+          | Unix.ADDR_UNIX _ -> ())
+      | None -> ());
+      drive ~sock t [])
 
 let provider t = t.asid
 let pops t = t.pops

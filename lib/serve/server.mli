@@ -93,11 +93,10 @@ val handle_line : t -> string -> string * bool
 (** Parse, count, answer and frame one request line on the default
     session; advances the churn timeline on batch boundaries.  Returns
     the framed wire response and [false] when the session should end
-    (QUIT). *)
-
-val serve_channels : t -> in_channel -> out_channel -> unit
-(** Serve until EOF or QUIT.  Never raises on malformed input — every
-    error is framed as an [ERR] response. *)
+    (QUIT).  This is the sequential reference: every session the
+    round executor serves ({!serve_fds}, {!serve_streams}, {!listen})
+    answers byte-identically to feeding its lines through
+    [handle_line] on a fresh server. *)
 
 val serve_streams :
   ?on_latency:(int -> float -> unit) ->
@@ -116,8 +115,19 @@ val serve_streams :
 
 val retry_eintr : (unit -> 'a) -> 'a
 (** Run [f], retrying while it raises [Unix.EINTR] — wraps every
-    blocking syscall of the listener so a signal (profiler tick,
+    blocking syscall of the serving loop so a signal (profiler tick,
     SIGCHLD, window resize) cannot kill the daemon. *)
+
+val serve_fds : t -> input:Unix.file_descr -> output:Unix.file_descr -> unit
+(** Serve one connection that reads requests from [input] and writes
+    responses to [output] — stdin/stdout for [beatbgp serve] — through
+    the same round executor and [select] loop as {!listen}.  The fds
+    are left in blocking mode and are not closed.  Returns after QUIT
+    or at EOF on [input], once every response is written; a final
+    line without a newline is still answered.  SIGPIPE is ignored
+    from here on, so a closed [output] ends the loop instead of the
+    process.  Never raises on malformed input — every error is framed
+    as an [ERR] response. *)
 
 val listen : ?port_ready:(int -> unit) -> t -> port:int -> unit
 (** Multi-connection accept loop on localhost:[port] (non-blocking
@@ -127,7 +137,9 @@ val listen : ?port_ready:(int -> unit) -> t -> port:int -> unit
     write-barrier verbs serialize.  [port_ready] is called with the
     actual bound port once listening (useful with [port = 0]).  QUIT
     stops accepting; the daemon exits once remaining connections have
-    drained. *)
+    drained.  A connection's final line without a newline is answered
+    when the peer half-closes; a peer that resets or stops reading is
+    dropped (SIGPIPE is ignored) without disturbing the others. *)
 
 (** {1 Introspection (tests, CLI)} *)
 

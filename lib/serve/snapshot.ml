@@ -28,8 +28,7 @@ type t = {
 }
 
 let magic = "BBGPSNAP"
-let schema_version = 1
-let schema_version_v2 = 2
+let schema_version = 2
 
 (* ---- writer ----------------------------------------------------------- *)
 
@@ -96,20 +95,13 @@ let w_event buf = function
       w_u8 buf 10;
       w_str buf s
 
-let w_int_array buf (a : int array) =
-  w_i32 buf (Array.length a);
-  Array.iter (fun v -> w_i64 buf v) a
-
-(* Metadata pieces shared verbatim between the v1 stream layout and
-   the v2 trailing metadata block. *)
-
-let w_meta_prefix buf t =
+(* The metadata block: everything small, stream-encoded. *)
+let w_meta buf t =
   w_str buf t.git_sha;
   w_i64 buf t.created_gen;
   w_i64 buf t.seed;
-  w_f64 buf t.now_min
-
-let w_as_records buf (ases : Asn.t array) =
+  w_f64 buf t.now_min;
+  let ases = Topology.ases t.base in
   w_i32 buf (Array.length ases);
   Array.iter
     (fun (a : Asn.t) ->
@@ -117,9 +109,7 @@ let w_as_records buf (ases : Asn.t array) =
       w_str buf a.Asn.name;
       w_i32 buf (Array.length a.Asn.footprint);
       Array.iter (fun m -> w_i32 buf m) a.Asn.footprint)
-    ases
-
-let w_down_deploy buf t =
+    ases;
   (* Dynamics state. *)
   w_i32 buf (List.length t.down_links);
   List.iter (fun l -> w_i32 buf l) t.down_links;
@@ -134,9 +124,14 @@ let w_down_deploy buf t =
       w_i32 buf p.Prefix.asid;
       w_i32 buf p.Prefix.city;
       w_f64 buf p.Prefix.weight)
-    t.prefixes
-
-let w_pending_overlays buf t =
+    t.prefixes;
+  (* RIB directory: the tables themselves live in the arena. *)
+  w_i32 buf (List.length t.ribs);
+  List.iter
+    (fun r ->
+      w_i32 buf r.rib_origin;
+      w_u8 buf (if r.rib_active then 1 else 0))
+    t.ribs;
   (* Pending timeline and congestion overlays. *)
   w_i32 buf (List.length t.pending);
   List.iter
@@ -151,47 +146,7 @@ let w_pending_overlays buf t =
       w_f64 buf ms)
     t.overlays
 
-let to_bytes t =
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf magic;
-  w_i32 buf schema_version;
-  w_meta_prefix buf t;
-  (* Topology: AS records, link records (with ids), packed adjacency.
-     The packed rows make loading a validation pass over immediates
-     instead of an adjacency rebuild. *)
-  let ases = Topology.ases t.base in
-  w_as_records buf ases;
-  let links = Topology.links t.base in
-  w_i32 buf (Array.length links);
-  Array.iter
-    (fun (l : Relation.link) ->
-      w_i32 buf l.Relation.id;
-      w_i32 buf l.Relation.a;
-      w_i32 buf l.Relation.b;
-      w_u8 buf (kind_code l.Relation.kind);
-      w_i32 buf l.Relation.metro;
-      w_f64 buf l.Relation.capacity_gbps)
-    links;
-  Array.iteri
-    (fun x _ -> w_int_array buf (Topology.packed_neighbors t.base x))
-    ases;
-  w_down_deploy buf t;
-  (* Flat RIBs of the tracked prefixes. *)
-  w_i32 buf (List.length t.ribs);
-  List.iter
-    (fun r ->
-      w_i32 buf r.rib_origin;
-      w_u8 buf (if r.rib_active then 1 else 0);
-      w_int_array buf r.rib_cust;
-      w_int_array buf r.rib_peer;
-      w_int_array buf r.rib_prov)
-    t.ribs;
-  w_pending_overlays buf t;
-  Buffer.contents buf
-
-(* ---- v2 writer -------------------------------------------------------- *)
-
-(* Schema v2 puts every large flat array in an 8-aligned little-endian
+(* The schema puts every large flat array in an 8-aligned little-endian
    int64 "arena" directly addressable through Bigarray views, so
    [load] can [Unix.map_file] the sections instead of decoding a byte
    stream:
@@ -230,7 +185,7 @@ let arena_counts t =
         ])
       t.ribs
 
-let to_bytes_v2 t =
+let to_bytes t =
   let links = Topology.links t.base in
   let counts = arena_counts t in
   let k = List.length counts in
@@ -238,7 +193,7 @@ let to_bytes_v2 t =
   let meta_off = header_len + (8 * List.fold_left ( + ) 0 counts) in
   let buf = Buffer.create (1 lsl 16) in
   Buffer.add_string buf magic;
-  w_i32 buf schema_version_v2;
+  w_i32 buf schema_version;
   w_i64 buf meta_off;
   w_i32 buf k;
   let off = ref header_len in
@@ -267,17 +222,7 @@ let to_bytes_v2 t =
       Array.iter (fun v -> w_i64 buf v) r.rib_prov)
     t.ribs;
   assert (Buffer.length buf = meta_off);
-  (* Metadata block. *)
-  w_meta_prefix buf t;
-  w_as_records buf (Topology.ases t.base);
-  w_down_deploy buf t;
-  w_i32 buf (List.length t.ribs);
-  List.iter
-    (fun r ->
-      w_i32 buf r.rib_origin;
-      w_u8 buf (if r.rib_active then 1 else 0))
-    t.ribs;
-  w_pending_overlays buf t;
+  w_meta buf t;
   Buffer.contents buf
 
 (* ---- reader ----------------------------------------------------------- *)
@@ -373,63 +318,6 @@ let r_event r =
   | 10 -> Event.Mark (r_str r "event mark")
   | tag -> raise (Corrupt (Printf.sprintf "unknown event tag %d" tag))
 
-let r_int_array r what =
-  let n = r_count r what in
-  Array.init n (fun _ -> r_i64 r what)
-
-(* Metadata pieces shared between the v1 stream and the v2 metadata
-   block — exact mirrors of the w_* helpers above. *)
-
-let r_meta_prefix r =
-  let git_sha = r_str r "git sha" in
-  let created_gen = r_i64 r "generation stamp" in
-  let seed = r_i64 r "seed" in
-  let now_min = r_f64 r "clock" in
-  (git_sha, created_gen, seed, now_min)
-
-let r_as_records r =
-  let n_ases = r_count r "AS" in
-  Array.init n_ases (fun id ->
-      let klass = klass_of_code "AS record" (r_u8 r "AS class") in
-      let name = r_str r "AS name" in
-      let n_fp = r_count r "footprint" in
-      let footprint = Array.init n_fp (fun _ -> r_i32 r "footprint metro") in
-      { Asn.id; klass; name; footprint })
-
-let r_down_deploy r =
-  let n_down = r_count r "down link" in
-  let down_links = List.init n_down (fun _ -> r_i32 r "down link id") in
-  let asid = r_i32 r "provider asid" in
-  let n_pops = r_count r "PoP" in
-  let pops = List.init n_pops (fun _ -> r_i32 r "PoP metro") in
-  let n_prefixes = r_count r "prefix" in
-  let prefixes =
-    Array.init n_prefixes (fun _ ->
-        let id = r_i32 r "prefix id" in
-        let asid = r_i32 r "prefix asid" in
-        let city = r_i32 r "prefix city" in
-        let weight = r_f64 r "prefix weight" in
-        { Prefix.id; asid; city; weight })
-  in
-  (down_links, asid, pops, prefixes)
-
-let r_pending_overlays r =
-  let n_pending = r_count r "pending event" in
-  let pending =
-    List.init n_pending (fun _ ->
-        let at = r_f64 r "event time" in
-        let ev = r_event r in
-        (at, ev))
-  in
-  let n_overlays = r_count r "congestion overlay" in
-  let overlays =
-    List.init n_overlays (fun _ ->
-        let l = r_i32 r "overlay link" in
-        let ms = r_f64 r "overlay ms" in
-        (l, ms))
-  in
-  (pending, overlays)
-
 let check_no_trailing r what =
   if r.pos <> String.length r.data then
     raise
@@ -438,66 +326,13 @@ let check_no_trailing r what =
             (String.length r.data - r.pos)
             what))
 
-(* v1: decode the whole stream from the heap.  [r.pos] is past the
-   magic and version. *)
-let decode_v1 r =
-  let git_sha, created_gen, seed, now_min = r_meta_prefix r in
-  let ases = r_as_records r in
-  let n_links = r_count r "link" in
-  let links =
-    Array.init n_links (fun _ ->
-        let id = r_i32 r "link id" in
-        let a = r_i32 r "link endpoint" in
-        let b = r_i32 r "link endpoint" in
-        let kind = kind_of_code "link record" (r_u8 r "link kind") in
-        let metro = r_i32 r "link metro" in
-        let capacity_gbps = r_f64 r "link capacity" in
-        { Relation.id; a; b; kind; metro; capacity_gbps })
-  in
-  let padj =
-    Array.init (Array.length ases) (fun _ -> r_int_array r "adjacency row")
-  in
-  let base =
-    try Topology.of_packed ~ases ~links ~padj
-    with Invalid_argument msg -> raise (Corrupt msg)
-  in
-  let down_links, asid, pops, prefixes = r_down_deploy r in
-  let n_ribs = r_count r "RIB" in
-  let ribs =
-    List.init n_ribs (fun _ ->
-        let rib_origin = r_i32 r "RIB origin" in
-        let rib_active = r_u8 r "RIB active flag" <> 0 in
-        let rib_cust = r_int_array r "customer table" in
-        let rib_peer = r_int_array r "peer table" in
-        let rib_prov = r_int_array r "provider table" in
-        { rib_origin; rib_active; rib_cust; rib_peer; rib_prov })
-  in
-  let pending, overlays = r_pending_overlays r in
-  check_no_trailing r "snapshot payload";
-  {
-    git_sha;
-    created_gen;
-    seed;
-    now_min;
-    base;
-    down_links;
-    asid;
-    pops;
-    prefixes;
-    ribs;
-    pending;
-    overlays;
-  }
-
-(* ---- v2 reader -------------------------------------------------------- *)
-
-(* A v2 decode source: random access into the file, either over an
+(* A decode source: random access into the file, either over an
    in-memory string (of_bytes, and the corrupt-rejection tests) or
    over an open fd whose arena sections are pulled through
    [Unix.map_file] Bigarray views (the fast [load] path).  Every
    accessor bounds-checks and raises [Corrupt] — never a signal or an
    uncaught [Unix_error]. *)
-type v2_source = {
+type source = {
   src_len : int;
   src_sub : pos:int -> len:int -> what:string -> string;
   src_ints : pos:int -> count:int -> what:string -> int array;
@@ -542,6 +377,11 @@ let really_pread fd ~pos ~len ~what =
                 (Corrupt (Printf.sprintf "truncated while reading %s" what))
           | n -> go (off + n)
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+          | exception Unix.Unix_error (e, _, _) ->
+              raise
+                (Corrupt
+                   (Printf.sprintf "cannot read %s: %s" what
+                      (Unix.error_message e)))
       in
       go 0;
       Bytes.unsafe_to_string b
@@ -590,15 +430,33 @@ let fd_source fd len =
         end);
   }
 
-(* Field widths of the packed v2 link words (mirroring the CSR
+(* Field widths of the packed link words (mirroring the CSR
    neighbor word layout). *)
 let lw_id w = w land 0x1F_FFFF
 let lw_a w = (w lsr 21) land 0xF_FFFF
 let lw_b w = (w lsr 41) land 0xF_FFFF
 
-let decode_v2 src =
-  (* Header: magic and version were checked by the dispatcher. *)
-  let hdr = src.src_sub ~pos:0 ~len:24 ~what:"v2 header" in
+let decode src =
+  let m = src.src_sub ~pos:0 ~len:(String.length magic) ~what:"magic" in
+  if m <> magic then
+    raise
+      (Corrupt
+         (Printf.sprintf "bad magic %S (not a beatbgp snapshot, expected %S)" m
+            magic));
+  let version =
+    Int32.to_int
+      (String.get_int32_le
+         (src.src_sub ~pos:(String.length magic) ~len:4 ~what:"schema version")
+         0)
+  in
+  if version <> schema_version then
+    raise
+      (Corrupt
+         (Printf.sprintf
+            "unsupported snapshot schema version %d (this build reads version \
+             %d)"
+            version schema_version));
+  let hdr = src.src_sub ~pos:0 ~len:24 ~what:"header" in
   let r = { data = hdr; pos = String.length magic + 4 } in
   let meta_off = r_i64 r "metadata offset" in
   let n_sections = r_i32 r "section count" in
@@ -631,8 +489,8 @@ let decode_v2 src =
     sections;
   if !expect <> meta_off then
     raise (Corrupt "arena does not end at the metadata offset");
-  (* Metadata block: everything small lives here, decoded from the
-     heap exactly like v1. *)
+  (* Metadata block: everything small lives here, stream-decoded from
+     the heap. *)
   let r =
     {
       data =
@@ -641,9 +499,33 @@ let decode_v2 src =
       pos = 0;
     }
   in
-  let git_sha, created_gen, seed, now_min = r_meta_prefix r in
-  let ases = r_as_records r in
-  let down_links, asid, pops, prefixes = r_down_deploy r in
+  let git_sha = r_str r "git sha" in
+  let created_gen = r_i64 r "generation stamp" in
+  let seed = r_i64 r "seed" in
+  let now_min = r_f64 r "clock" in
+  let n_ases = r_count r "AS" in
+  let ases =
+    Array.init n_ases (fun id ->
+        let klass = klass_of_code "AS record" (r_u8 r "AS class") in
+        let name = r_str r "AS name" in
+        let n_fp = r_count r "footprint" in
+        let footprint = Array.init n_fp (fun _ -> r_i32 r "footprint metro") in
+        { Asn.id; klass; name; footprint })
+  in
+  let n_down = r_count r "down link" in
+  let down_links = List.init n_down (fun _ -> r_i32 r "down link id") in
+  let asid = r_i32 r "provider asid" in
+  let n_pops = r_count r "PoP" in
+  let pops = List.init n_pops (fun _ -> r_i32 r "PoP metro") in
+  let n_prefixes = r_count r "prefix" in
+  let prefixes =
+    Array.init n_prefixes (fun _ ->
+        let id = r_i32 r "prefix id" in
+        let asid = r_i32 r "prefix asid" in
+        let city = r_i32 r "prefix city" in
+        let weight = r_f64 r "prefix weight" in
+        { Prefix.id; asid; city; weight })
+  in
   let n_ribs = r_count r "RIB" in
   if n_ribs <> (n_sections - 5) / 3 then
     raise (Corrupt "RIB directory disagrees with the section table");
@@ -653,7 +535,20 @@ let decode_v2 src =
         let active = r_u8 r "RIB active flag" <> 0 in
         (origin, active))
   in
-  let pending, overlays = r_pending_overlays r in
+  let n_pending = r_count r "pending event" in
+  let pending =
+    List.init n_pending (fun _ ->
+        let at = r_f64 r "event time" in
+        let ev = r_event r in
+        (at, ev))
+  in
+  let n_overlays = r_count r "congestion overlay" in
+  let overlays =
+    List.init n_overlays (fun _ ->
+        let l = r_i32 r "overlay link" in
+        let ms = r_f64 r "overlay ms" in
+        (l, ms))
+  in
   check_no_trailing r "snapshot metadata";
   (* Arena sections. *)
   let ints i what =
@@ -722,46 +617,15 @@ let decode_v2 src =
     overlays;
   }
 
-let unsupported_version v =
-  Corrupt
-    (Printf.sprintf
-       "unsupported snapshot schema version %d (this build reads versions %d \
-        and %d)"
-       v schema_version schema_version_v2)
-
 let of_bytes data =
-  let r = { data; pos = 0 } in
-  try
-    need r (String.length magic) "magic";
-    let m = String.sub data 0 (String.length magic) in
-    if m <> magic then
-      raise
-        (Corrupt
-           (Printf.sprintf "bad magic %S (not a beatbgp snapshot, expected %S)"
-              m magic));
-    r.pos <- String.length magic;
-    let version = r_i32 r "schema version" in
-    let t =
-      match version with
-      | 1 -> decode_v1 r
-      | 2 -> decode_v2 (string_source data)
-      | v -> raise (unsupported_version v)
-    in
-    Ok t
+  try Ok (decode (string_source data))
   with Corrupt msg -> Error ("snapshot: " ^ msg)
 
-let save ?(version = schema_version_v2) t ~path =
-  let data =
-    if version = schema_version then to_bytes t
-    else if version = schema_version_v2 then to_bytes_v2 t
-    else
-      invalid_arg
-        (Printf.sprintf "Snapshot.save: unknown schema version %d" version)
-  in
+let save t ~path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc data)
+    (fun () -> output_string oc (to_bytes t))
 
 let load ~path =
   if not (Sys.file_exists path) then Error (path ^ ": no such file")
@@ -773,27 +637,9 @@ let load ~path =
         Fun.protect
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
-            let len = (Unix.fstat fd).Unix.st_size in
-            let version =
-              if len < String.length magic + 4 then None
-              else begin
-                try
-                  let hdr = really_pread fd ~pos:0 ~len:12 ~what:"header" in
-                  if String.sub hdr 0 (String.length magic) <> magic then None
-                  else Some (Int32.to_int (String.get_int32_le hdr 8))
-                with Corrupt _ -> None
-              end
-            in
-            match version with
-            | Some v when v = schema_version_v2 ->
-                (* Zero-copy path: arena sections are mmapped in place
-                   and bulk-blitted; only the small metadata block is
-                   byte-decoded. *)
-                (try Ok (decode_v2 (fd_source fd len))
-                 with Corrupt msg -> Error ("snapshot: " ^ msg))
-            | _ -> (
-                (* v1, unknown versions and non-snapshots all take the
-                   total heap decoder for its precise errors. *)
-                try of_bytes (really_pread fd ~pos:0 ~len ~what:"snapshot file")
-                with Corrupt msg -> Error ("snapshot: " ^ msg)))
+            (* Zero-copy path: arena sections are mmapped in place and
+               bulk-blitted; only the small metadata block is
+               byte-decoded. *)
+            try Ok (decode (fd_source fd (Unix.fstat fd).Unix.st_size))
+            with Corrupt msg -> Error ("snapshot: " ^ msg))
   end

@@ -9,25 +9,20 @@
     wrote the file, so snapshot files are attributable and version
     skew fails loudly.
 
-    Two on-disk schemas are read:
+    The schema (version 2) keeps every large flat array (CSR
+    adjacency arena, link tables, per-prefix RIBs) in an 8-aligned
+    little-endian int64 arena indexed by a section table, so {!load}
+    pulls them through [Unix.map_file] Bigarray views instead of
+    byte-decoding: at internet scale, loading is a handful of bulk
+    blits of page cache.  Only the small trailing metadata block is
+    stream-decoded.
 
-    - {b v1} is a sequential byte stream (packed adjacency rows
-      inline), decoded entirely on the OCaml heap.
-    - {b v2} — the default for writing — moves every large flat array
-      (CSR adjacency arena, link tables, per-prefix RIBs) into an
-      8-aligned little-endian int64 arena indexed by a section table,
-      so {!load} can pull them through [Unix.map_file] Bigarray views
-      instead of byte-decoding: at internet scale, loading drops from
-      a full decode to a handful of bulk blits of page cache.  Only
-      the small trailing metadata block is stream-decoded.
-
-    The encoding is deterministic per version: re-encoding a loaded
-    snapshot at the version it was written is byte-identical to the
-    file it came from (the round-trip property [make verify] and the
-    test suite check).  Both decoders are total: truncation,
-    corruption and version skew produce [Error], never an exception or
-    a crash.  Everything is little-endian; see doc/serving.md for the
-    exact layouts. *)
+    The encoding is deterministic: re-encoding a loaded snapshot is
+    byte-identical to the file it came from (the round-trip property
+    [make verify] and the test suite check).  Both decoders are total:
+    truncation, corruption and version skew produce [Error], never an
+    exception or a crash.  Everything is little-endian; see
+    doc/serving.md for the exact layout. *)
 
 type rib = {
   rib_origin : int;  (** Origin AS of the tracked (default) announcement. *)
@@ -63,33 +58,24 @@ val magic : string
 (** 8-byte file magic (["BBGPSNAP"]). *)
 
 val schema_version : int
-(** The v1 (heap-decoded stream) schema number: 1. *)
-
-val schema_version_v2 : int
-(** The v2 (mmap-able arena) schema number: 2. *)
+(** The schema number this build reads and writes: 2. *)
 
 val to_bytes : t -> string
-(** Encode at schema v1. *)
-
-val to_bytes_v2 : t -> string
-(** Encode at schema v2 (arena + section table + metadata block). *)
+(** Encode (arena + section table + metadata block). *)
 
 val of_bytes : string -> (t, string) result
-(** Decode and validate either schema version from memory.  Wrong
-    magic, unsupported schema version, truncation and any structural
+(** Decode and validate from memory.  Wrong magic, any schema version
+    other than {!schema_version}, truncation and any structural
     inconsistency (bad link references, table lengths, a section
     table that does not tile the arena, ...) produce a clear [Error],
     never an exception. *)
 
-val save : ?version:int -> t -> path:string -> unit
-(** Write a snapshot file ([version] defaults to
-    {!schema_version_v2}).
-    @raise Sys_error on an unwritable path.
-    @raise Invalid_argument on an unknown version. *)
+val save : t -> path:string -> unit
+(** Write a snapshot file.
+    @raise Sys_error on an unwritable path. *)
 
 val load : path:string -> (t, string) result
-(** Read a snapshot file.  v2 files take the zero-copy path: arena
-    sections are [Unix.map_file]d and bulk-blitted, so a page-cache
-    warm restart skips the byte-stream decode entirely.  v1 files (and
-    anything unrecognized) fall back to {!of_bytes} on the whole
-    file. *)
+(** Read a snapshot file with the same checks and errors as
+    {!of_bytes}.  Arena sections are [Unix.map_file]d and
+    bulk-blitted, so a page-cache warm restart skips the byte-stream
+    decode entirely. *)

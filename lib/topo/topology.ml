@@ -120,8 +120,8 @@ let check_dense_ases what ases =
     ases
 
 (* Index serialized link records by id, validating endpoints and
-   uniqueness — shared by the two deserializing constructors. *)
-let index_links what ~n (links : Relation.link array) =
+   uniqueness. *)
+let index_links ~n (links : Relation.link array) =
   let max_id =
     Array.fold_left
       (fun m (l : Relation.link) -> Stdlib.max m l.Relation.id)
@@ -131,24 +131,22 @@ let index_links what ~n (links : Relation.link array) =
   Array.iter
     (fun (l : Relation.link) ->
       if l.a < 0 || l.a >= n || l.b < 0 || l.b >= n || l.a = l.b then
-        invalid_arg
-          (Printf.sprintf "Topology.%s: link endpoint out of range" what);
+        invalid_arg "Topology.of_csr: link endpoint out of range";
       if by_id.(l.Relation.id) <> None then
-        invalid_arg (Printf.sprintf "Topology.%s: duplicate link id" what);
+        invalid_arg "Topology.of_csr: duplicate link id";
       by_id.(l.Relation.id) <- Some l)
     links;
   by_id
 
 (* Validate one packed neighbor word of AS [x] against the link
-   records and return its link record. *)
-let check_word what by_id x pn =
+   records. *)
+let check_word by_id x pn =
   if pn < 0 || pn lsr 43 <> 0 then
-    invalid_arg
-      (Printf.sprintf "Topology.%s: packed word out of range" what);
+    invalid_arg "Topology.of_csr: packed word out of range";
   let id = pn_link pn and peer = pn_peer pn and rel = pn_rel pn in
   let link = if id >= Array.length by_id then None else by_id.(id) in
   match link with
-  | None -> invalid_arg (Printf.sprintf "Topology.%s: unknown link id" what)
+  | None -> invalid_arg "Topology.of_csr: unknown link id"
   | Some l ->
       if
         not
@@ -156,13 +154,9 @@ let check_word what by_id x pn =
           || (l.Relation.b = x && l.Relation.a = peer))
       then
         invalid_arg
-          (Printf.sprintf
-             "Topology.%s: packed neighbor disagrees with link record" what);
+          "Topology.of_csr: packed neighbor disagrees with link record";
       if Relation.rel_of l x <> rel then
-        invalid_arg
-          (Printf.sprintf
-             "Topology.%s: packed relation disagrees with link kind" what);
-      l
+        invalid_arg "Topology.of_csr: packed relation disagrees with link kind"
 
 let make ases link_list =
   let n = Array.length ases in
@@ -182,26 +176,6 @@ let make ases link_list =
   let csr_off, csr_words = csr_of_adj adj in
   { gen = next_gen (); ases; links; adj = eager_adj adj; csr_off; csr_words }
 
-let of_packed ~ases ~links ~padj =
-  let n = Array.length ases in
-  check_dense_ases "of_packed" ases;
-  check_packing_limits n links;
-  if Array.length padj <> n then
-    invalid_arg "Topology.of_packed: adjacency row count <> AS count";
-  let by_id = index_links "of_packed" ~n links in
-  let adj =
-    Array.mapi
-      (fun x row ->
-        List.map
-          (fun pn ->
-            let l = check_word "of_packed" by_id x pn in
-            { peer = pn_peer pn; rel = pn_rel pn; link = l })
-          (Array.to_list row))
-      padj
-  in
-  let csr_off, csr_words = csr_of_adj adj in
-  { gen = next_gen (); ases; links; adj = eager_adj adj; csr_off; csr_words }
-
 let of_csr ~ases ~links ~csr_off ~csr_words =
   let n = Array.length ases in
   check_dense_ases "of_csr" ases;
@@ -216,10 +190,10 @@ let of_csr ~ases ~links ~csr_off ~csr_words =
   done;
   if csr_off.(n) <> Array.length csr_words then
     invalid_arg "Topology.of_csr: word arena length <> final offset";
-  let by_id = index_links "of_csr" ~n links in
+  let by_id = index_links ~n links in
   for x = 0 to n - 1 do
     for j = csr_off.(x) to csr_off.(x + 1) - 1 do
-      ignore (check_word "of_csr" by_id x csr_words.(j))
+      check_word by_id x csr_words.(j)
     done
   done;
   (* Words are validated above, so the deferred row build can decode
@@ -252,9 +226,6 @@ let links t = t.links
 let neighbors t i = (force_adj t).(i)
 let csr_offsets t = t.csr_off
 let csr_words t = t.csr_words
-
-let packed_neighbors t i =
-  Array.sub t.csr_words t.csr_off.(i) (t.csr_off.(i + 1) - t.csr_off.(i))
 
 let filter_rel t i want =
   List.filter_map

@@ -61,11 +61,6 @@ val csr_offsets : t -> int array
 val csr_words : t -> int array
 (** The packed neighbor word arena indexed by {!csr_offsets}. *)
 
-val packed_neighbors : t -> int -> int array
-(** Same sessions as {!neighbors} (same order), copied out of the CSR
-    arena into a fresh row.  Cold-path convenience (snapshots, tests);
-    hot loops should index {!csr_words} directly. *)
-
 val pn_peer : int -> int
 val pn_link : int -> int
 (** Link {e id} (stable across {!remove_links}), not an index into
@@ -73,33 +68,23 @@ val pn_link : int -> int
 
 val pn_rel : int -> Relation.rel
 
-val of_packed :
-  ases:Asn.t array -> links:Relation.link array -> padj:int array array -> t
-(** Reconstruct a topology from its serialized parts: the AS records,
-    the link records ({e with their ids}, which are preserved verbatim
-    — unlike {!make}, which reassigns ids by list position) and the
-    packed adjacency rows as returned by {!packed_neighbors}.  This is
-    the snapshot-load path: a topology saved as
-    [(ases, links, packed rows)] round-trips exactly, including
-    topologies whose link ids are sparse because {!remove_links} ran.
-    Every packed word is validated against the link records.
-    @raise Invalid_argument on any inconsistency. *)
-
 val of_csr :
   ases:Asn.t array ->
   links:Relation.link array ->
   csr_off:int array ->
   csr_words:int array ->
   t
-(** Reconstruct a topology directly from its CSR arena, as stored by
-    snapshot schema v2: [csr_off] must have length [n + 1], start at
-    0, be monotone and end at [Array.length csr_words]; every packed
-    word is validated against the link records exactly like
-    {!of_packed}.  The arrays become owned by the topology — callers
-    must not mutate them afterwards.  Unlike the other constructors
-    the boxed {!neighbors} rows are built lazily (domain-safe memo),
-    so a loader that only runs the packed hot loops never allocates
-    them.
+(** Reconstruct a topology directly from its CSR arena, as stored in a
+    snapshot: [csr_off] must have length [n + 1], start at 0, be
+    monotone and end at [Array.length csr_words].  Link records keep
+    their ids verbatim (unlike {!make}, which reassigns ids by list
+    position), so a topology whose link ids are sparse because
+    {!remove_links} ran round-trips exactly.  Every packed word is
+    validated against the link records.  The arrays become owned by
+    the topology — callers must not mutate them afterwards.  Unlike
+    the other constructors the boxed {!neighbors} rows are built
+    lazily (domain-safe memo), so a loader that only runs the packed
+    hot loops never allocates them.
     @raise Invalid_argument on any inconsistency. *)
 
 val customers : t -> int -> int list

@@ -184,35 +184,78 @@ let test_never_raises () =
       check "keeps serving" true cont)
     junk
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path data =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc data)
+
+(* Serve [input] through Server.serve_fds over temp-file fds (the
+   stdin mode of `beatbgp serve`) and return everything it wrote. *)
+let serve_fds_transcript t input =
+  let in_path = Filename.temp_file "serve_in" ".txt" in
+  let out_path = Filename.temp_file "serve_out" ".txt" in
+  write_file in_path input;
+  let ifd = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let ofd = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  Server.serve_fds t ~input:ifd ~output:ofd;
+  Unix.close ifd;
+  Unix.close ofd;
+  let out = read_file out_path in
+  Sys.remove in_path;
+  Sys.remove out_path;
+  out
+
 let test_eof_mid_request () =
   (* A client that dies mid-line: the partial line arrives without a
      newline, must be answered as a protocol error, and the loop must
      end cleanly on EOF. *)
-  let t = Lazy.force server in
-  let in_path = Filename.temp_file "serve_in" ".txt" in
-  let out_path = Filename.temp_file "serve_out" ".txt" in
-  let oc = open_out in_path in
-  output_string oc "STATS\nCATCH";
-  close_out oc;
-  let ic = open_in in_path and oc = open_out out_path in
-  Server.serve_channels t ic oc;
-  close_in ic;
-  close_out oc;
-  let ic = open_in out_path in
-  let out = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove in_path;
-  Sys.remove out_path;
+  let out = serve_fds_transcript (Lazy.force server) "STATS\nCATCH" in
   check "first response ok" true (framed_ok out);
-  let has_err =
-    let re = "\nERR " in
-    let n = String.length out and m = String.length re in
-    let rec scan i = i + m <= n && (String.sub out i m = re || scan (i + 1)) in
-    scan 0
-  in
-  check "partial line answered as protocol error" true has_err;
+  check "partial line answered as protocol error" true
+    (contains ~needle:"\nERR " out);
   check "response stream newline-terminated" true
     (String.length out > 0 && out.[String.length out - 1] = '\n')
+
+(* Stdin mode is one connection of the round executor: on the smoke
+   query file (churn, barriers, SNAPSHOT, QUIT) it must answer
+   byte-identically to the sequential handle_line reference, at any
+   domain count. *)
+let test_stdin_matches_handle_line () =
+  let queries = read_file "golden/serve_smoke_queries.txt" in
+  let cfg = { Server.small_config with Server.churn = true } in
+  let oracle =
+    Rib_cache.capture (Rib_cache.fresh_shard ()) (fun () ->
+        let t = Server.build cfg in
+        let rec go acc = function
+          | [] -> acc
+          | line :: rest ->
+              let resp, cont = Server.handle_line t line in
+              if cont then go (resp :: acc) rest else resp :: acc
+        in
+        String.concat "" (List.rev (go [] (String.split_on_char '\n' queries))))
+  in
+  let saved = Netsim_par.Pool.domain_count () in
+  Fun.protect
+    ~finally:(fun () -> Netsim_par.Pool.set_domain_count saved)
+    (fun () ->
+      List.iter
+        (fun domains ->
+          Netsim_par.Pool.set_domain_count domains;
+          let got =
+            Rib_cache.capture (Rib_cache.fresh_shard ()) (fun () ->
+                serve_fds_transcript (Server.build cfg) queries)
+          in
+          check_str
+            (Printf.sprintf "stdin at %d domains equals handle_line" domains)
+            oracle got)
+        [ 1; 4 ])
 
 (* ---- snapshot codec --------------------------------------------------- *)
 
@@ -249,9 +292,12 @@ let test_roundtrip_file () =
       check_str "file round-trip byte-identical" (Snapshot.to_bytes snap)
         (Snapshot.to_bytes snap2));
   Sys.remove path;
-  match Snapshot.load ~path with
+  (match Snapshot.load ~path with
   | Error e -> check "missing file is a clear error" true (e <> "")
-  | Ok _ -> Alcotest.fail "loading a deleted file succeeded"
+  | Ok _ -> Alcotest.fail "loading a deleted file succeeded");
+  match Snapshot.load ~path:(Filename.get_temp_dir_name ()) with
+  | Error e -> check "a directory is a clear error" true (e <> "")
+  | Ok _ -> Alcotest.fail "loading a directory succeeded"
 
 let expect_error what = function
   | Error msg -> check (what ^ " mentions snapshot") true (msg <> "")
@@ -259,53 +305,54 @@ let expect_error what = function
 
 let test_roundtrip_bytes_v2 () =
   let snap = Lazy.force small_snapshot in
-  let bytes = Snapshot.to_bytes_v2 snap in
+  let bytes = Snapshot.to_bytes snap in
+  (* The header the mmap loader relies on: version 2, a metadata
+     offset inside the file, and 8-aligned arena sections. *)
+  check_int "schema version field" 2
+    (Int32.to_int (String.get_int32_le bytes 8));
+  let meta_off = Int64.to_int (String.get_int64_le bytes 12) in
+  check "metadata block inside the file" true
+    (meta_off > 0 && meta_off < String.length bytes);
+  for i = 0 to Int32.to_int (String.get_int32_le bytes 20) - 1 do
+    check "section 8-aligned" true
+      (Int64.to_int (String.get_int64_le bytes (24 + (16 * i))) mod 8 = 0)
+  done;
   match Snapshot.of_bytes bytes with
   | Error e -> Alcotest.failf "v2 round-trip failed: %s" e
   | Ok snap2 ->
-      check_str "v2 re-encode is byte-identical" bytes
-        (Snapshot.to_bytes_v2 snap2);
-      check_str "v1 encodings of both agree" (Snapshot.to_bytes snap)
-        (Snapshot.to_bytes snap2)
+      check_str "v2 re-encode is byte-identical" bytes (Snapshot.to_bytes snap2)
 
 let test_roundtrip_file_v2 () =
   let snap = Lazy.force small_snapshot in
   let path = Filename.temp_file "snap_v2" ".bin" in
-  Snapshot.save ~version:Snapshot.schema_version_v2 snap ~path;
-  (* The default save is v2. *)
-  let path_default = Filename.temp_file "snap_default" ".bin" in
-  Snapshot.save snap ~path:path_default;
-  let read_all p =
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  check_str "save defaults to v2" (read_all path) (read_all path_default);
-  Sys.remove path_default;
+  Snapshot.save snap ~path;
+  check_str "save writes to_bytes" (Snapshot.to_bytes snap) (read_file path);
   (match Snapshot.load ~path with
   | Error e -> Alcotest.failf "v2 load failed: %s" e
   | Ok snap2 ->
       check_str "v2 mmap load round-trips byte-identically"
-        (Snapshot.to_bytes_v2 snap)
-        (Snapshot.to_bytes_v2 snap2));
+        (Snapshot.to_bytes snap) (Snapshot.to_bytes snap2));
   Sys.remove path
 
-let test_v1_files_still_load () =
-  (* Compatibility: a file written at schema v1 (what every earlier
-     build wrote) must keep loading through the heap-decode fallback. *)
-  let snap = Lazy.force small_snapshot in
+(* Files written at schema v1 by earlier builds are refused with an
+   error naming the version, through both decoders — never decoded
+   as v2 and never an exception. *)
+let test_v1_files_rejected () =
+  let v1 = Bytes.of_string (Snapshot.to_bytes (Lazy.force small_snapshot)) in
+  Bytes.set_int32_le v1 8 1l;
+  let v1 = Bytes.to_string v1 in
+  let names_v1 what = function
+    | Error msg ->
+        check (what ^ " names version 1") true
+          (contains ~needle:"version 1" msg)
+    | Ok _ -> Alcotest.failf "%s: v1 file accepted" what
+  in
+  names_v1 "of_bytes" (Snapshot.of_bytes v1);
+  names_v1 "of_bytes, bare header" (Snapshot.of_bytes (String.sub v1 0 12));
   let path = Filename.temp_file "snap_v1" ".bin" in
-  Snapshot.save ~version:Snapshot.schema_version snap ~path;
-  (match Snapshot.load ~path with
-  | Error e -> Alcotest.failf "v1 load failed: %s" e
-  | Ok snap2 ->
-      check_str "v1 file load round-trips byte-identically"
-        (Snapshot.to_bytes snap) (Snapshot.to_bytes snap2));
-  Sys.remove path;
-  match Snapshot.save ~version:99 snap ~path with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "save accepted an unknown schema version"
+  write_file path v1;
+  names_v1 "load" (Snapshot.load ~path);
+  Sys.remove path
 
 let test_rejects_corrupt () =
   let bytes = Snapshot.to_bytes (Lazy.force small_snapshot) in
@@ -343,7 +390,7 @@ let test_rejects_corrupt () =
    its own failure surface: a section table that lies about offsets or
    counts must be caught before any Bigarray mapping happens. *)
 let test_rejects_corrupt_v2 () =
-  let bytes = Snapshot.to_bytes_v2 (Lazy.force small_snapshot) in
+  let bytes = Snapshot.to_bytes (Lazy.force small_snapshot) in
   let n = String.length bytes in
   (* Truncation anywhere. *)
   let cuts = List.init 32 (fun i -> i) @ List.init (n / 512) (fun i -> i * 512) in
@@ -550,8 +597,9 @@ let read_framed ic =
       (status, String.sub body 0 n)
   | _ -> Alcotest.failf "bad frame header %S" header
 
-let test_listen_two_clients () =
-  let t = private_server streams_cfg in
+(* Run [Server.listen] on an ephemeral port in its own domain; returns
+   the port and the domain, which ends once a client sends QUIT. *)
+let start_listener t =
   let port = ref 0 in
   let ready = Mutex.create () and cond = Condition.create () in
   let listener =
@@ -569,15 +617,21 @@ let test_listen_two_clients () =
   done;
   let p = !port in
   Mutex.unlock ready;
-  let connect () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, p));
-    (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-  in
-  let send oc line =
-    output_string oc (line ^ "\n");
-    flush oc
-  in
+  (p, listener)
+
+let connect p =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, p));
+  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+
+let send oc line =
+  output_string oc (line ^ "\n");
+  flush oc
+
+let test_listen_two_clients () =
+  let t = private_server streams_cfg in
+  let p, listener = start_listener t in
+  let connect () = connect p in
   let fd1, ic1, oc1 = connect () in
   let fd2, ic2, oc2 = connect () in
   (* Interleave queries across the two live connections. *)
@@ -607,6 +661,80 @@ let test_listen_two_clients () =
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     [ fd1; fd2 ];
   ignore (ic1, ic2, oc1, oc2)
+
+(* Everything a peer receives until the daemon closes the connection. *)
+let read_to_eof fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+  in
+  go ()
+
+let quit_listener p listener =
+  let fd, ic, oc = connect p in
+  send oc "QUIT";
+  let _, body = read_framed ic in
+  check_str "quit body" "bye" body;
+  Domain.join listener;
+  Unix.close fd
+
+(* A final request without a newline, followed by a half-close, is
+   still answered — exactly once — before the daemon closes the
+   connection. *)
+let test_listen_trailing_line () =
+  let p, listener = start_listener (private_server streams_cfg) in
+  let fd, _, _ = connect p in
+  ignore (Unix.write_substring fd "STATS" 0 5);
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let out = read_to_eof fd in
+  Unix.close fd;
+  (match String.index_opt out '\n' with
+  | Some i when String.sub out 0 3 = "OK " ->
+      let n = int_of_string (String.sub out 3 (i - 3)) in
+      check_int "exactly one frame" (i + n + 2) (String.length out)
+  | _ -> Alcotest.failf "expected one OK frame, got %S" out);
+  quit_listener p listener
+
+(* A peer that writes requests and closes without reading must not
+   take the daemon down (SIGPIPE) or disturb another client, whose
+   transcript still equals the sequential reference. *)
+let test_listen_peer_vanishes () =
+  let p, listener = start_listener (private_server streams_cfg) in
+  let fd_a, _, _ = connect p in
+  let fd_b, ic_b, oc_b = connect p in
+  let burst =
+    String.concat ""
+      (List.init 100 (fun i -> Printf.sprintf "CATCHMENT %d\n" (i mod 30)))
+  in
+  ignore (Unix.write_substring fd_a burst 0 (String.length burst));
+  Unix.close fd_a;
+  (* One request per round trip, so the daemon runs many rounds —
+     answering the vanished peer — while this client is served. *)
+  let mk = read_only_queries 94 in
+  let stream = List.init 20 (fun i -> mk.(i mod Array.length mk) i) in
+  let got =
+    List.map
+      (fun q ->
+        send oc_b q;
+        let status, body = read_framed ic_b in
+        Protocol.frame ~ok:(status = "OK") body)
+      stream
+  in
+  let alone =
+    Rib_cache.capture (Rib_cache.fresh_shard ()) (fun () ->
+        let t = private_server streams_cfg in
+        List.map (fun q -> fst (Server.handle_line t q)) stream)
+  in
+  check "survivor's transcript equals served-alone" true (got = alone);
+  send oc_b "QUIT";
+  let _, body = read_framed ic_b in
+  check_str "survivor still gets bye" "bye" body;
+  Domain.join listener;
+  Unix.close fd_b
 
 (* ---- load-path equivalence ------------------------------------------- *)
 
@@ -667,14 +795,16 @@ let suite =
       test_provenance_jsonl;
     Alcotest.test_case "queries: junk never raises" `Quick test_never_raises;
     Alcotest.test_case "loop: EOF mid-request" `Quick test_eof_mid_request;
+    Alcotest.test_case "loop: stdin equals the sequential reference" `Quick
+      test_stdin_matches_handle_line;
     Alcotest.test_case "snapshot: byte round-trip" `Quick test_roundtrip_bytes;
     Alcotest.test_case "snapshot: file round-trip" `Quick test_roundtrip_file;
     Alcotest.test_case "snapshot: v2 byte round-trip" `Quick
       test_roundtrip_bytes_v2;
     Alcotest.test_case "snapshot: v2 mmap file round-trip" `Quick
       test_roundtrip_file_v2;
-    Alcotest.test_case "snapshot: v1 files still load" `Quick
-      test_v1_files_still_load;
+    Alcotest.test_case "snapshot: v1 files are rejected" `Quick
+      test_v1_files_rejected;
     Alcotest.test_case "snapshot: rejects corrupt input" `Quick
       test_rejects_corrupt;
     Alcotest.test_case "snapshot: rejects corrupt v2 input" `Quick
@@ -689,5 +819,9 @@ let suite =
     Alcotest.test_case "listener: EINTR retry" `Quick test_retry_eintr;
     Alcotest.test_case "listener: two concurrent TCP clients" `Quick
       test_listen_two_clients;
+    Alcotest.test_case "listener: trailing line at EOF" `Quick
+      test_listen_trailing_line;
+    Alcotest.test_case "listener: peer closes without reading" `Quick
+      test_listen_peer_vanishes;
     QCheck_alcotest.to_alcotest prop_loaded_equals_fresh;
   ]
