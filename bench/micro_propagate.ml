@@ -3,9 +3,9 @@
      dune exec bench/micro_propagate.exe -- [--out FILE] [--history FILE]
        [--gate] [--gate-trend] [--gate-overhead] [iters]
 
-   Measures (a) ns/run of the optimized Dial-queue/flat-array core
-   ([Propagate.run]) against the retained Set-based
-   [Propagate.run_reference] on the default topology scale, verifying
+   Measures (a) ns/run of the level-drain/flat-array core
+   ([Propagate.run]) against the Set-based reference [Oracle.run]
+   (test/oracle) on the default topology scale, verifying
    bit-identical results while at it, and (b) the RIB-cache hit rate
    on a figure-shaped workload (the repeated per-origin runs the
    egress / anycast / availability layers issue).  Writes the numbers
@@ -65,7 +65,7 @@ let () =
   let config = Announce.default ~origin:dest in
   (* The two cores must agree before their timings mean anything, and
      the provenance-instrumented run must select identical routes. *)
-  if not (Propagate.equal (Propagate.run topo config) (Propagate.run_reference topo config))
+  if not (Propagate.equal (Propagate.run topo config) (Oracle.run topo config))
   then begin
     print_string "FAIL: optimized and reference propagation disagree\n";
     exit 1
@@ -89,7 +89,7 @@ let () =
     time_ns (fun () -> ignore (Propagate.run ~provenance:true topo config)) iters
   in
   let ref_ns =
-    time_ns (fun () -> ignore (Propagate.run_reference topo config)) iters
+    time_ns (fun () -> ignore (Oracle.run topo config)) iters
   in
   let speedup = ref_ns /. opt_ns in
   (* Figure-shaped cache workload: the availability sweep recomputes

@@ -81,25 +81,25 @@ let get s (arr : int array) x =
   let v = arr.(x) in
   if v < 0 then None else Some (entry_of s v)
 
-(* ---- monotone bucket (Dial) queue ------------------------------------ *)
+(* ---- level queue ------------------------------------------------------ *)
 
-(* Export candidates queue up in per-path-length buckets: lengths only
-   ever grow by one hop, so the scan over buckets is monotone and the
-   whole priority queue is append + one sort per bucket — no [Set]
-   node churn, no tuple allocation.  A queued candidate is one packed
-   int (the bucket index carries the length):
+(* Export candidates queue up in per-(path length, origin) buckets:
+   lengths only ever grow by one hop, so the scan over lengths is
+   monotone, and every push from level [len] lands in level [len + 1],
+   so a level is complete when the scan reaches it.  A queued
+   candidate is one packed int (the level carries the length and the
+   bucket the origin):
 
      bit  0      no_export
      bits 1-20   target AS id
      bits 21-41  link id
      bits 42-61  parent AS id
 
-   Ascending int order is (parent, link, target): exactly the
-   tie-break order the Set-based queue popped in within one length.
-   Every push from a bucket goes to a strictly higher bucket, so a
-   bucket is complete when the scan reaches it, and one sort there
-   reproduces the full (len, parent, link, target) pop order —
-   results are bit-identical to [run_reference]. *)
+   Buckets stay unsorted: [drain] settles each target by its minimum
+   candidate, and ascending int order is (parent, link, target) — at
+   equal length exactly the route preference — so arrival order
+   within a level is unobservable, and so is interleaving across
+   origins, whose entries only touch their own slots. *)
 
 let q_pack ~parent ~link ~target ~ne =
   (parent lsl 42) lor (link lsl 21) lor (target lsl 1)
@@ -110,102 +110,73 @@ let q_link v = (v lsr 21) land 0x1F_FFFF
 let q_target v = (v lsr 1) land 0xF_FFFF
 let q_ne v = v land 1 = 1
 
-type dial = {
-  mutable buckets : int array array;
-  mutable sizes : int array;
-  mutable cur : int;  (** buckets below this are drained *)
+type levels = {
+  k : int;  (** origins: buckets per level *)
+  mutable buckets : int array array array;  (** [len].(org) packed words *)
+  mutable sizes : int array array;  (** [len].(org) fill count *)
+  mutable level : int array;  (** pending words per length *)
+  mutable cur : int;  (** levels below this are drained *)
   mutable pending : int;
 }
 
-let dial_create () =
-  { buckets = Array.make 16 [||]; sizes = Array.make 16 0; cur = 0; pending = 0 }
+let levels_create k =
+  {
+    k;
+    buckets = Array.make 16 [||];
+    sizes = Array.make 16 [||];
+    level = Array.make 16 0;
+    cur = 0;
+    pending = 0;
+  }
 
-let dial_push q ~len packed =
+let levels_push q ~len ~org packed =
   if len < 0 || len > max_path_len then
     invalid_arg "Propagate: path length out of packed range";
   if len < q.cur then invalid_arg "Propagate: non-monotone queue push";
   let cap = Array.length q.buckets in
   if len >= cap then begin
     let ncap = Stdlib.max (len + 1) (2 * cap) in
-    let nb = Array.make ncap [||] and ns = Array.make ncap 0 in
+    let nb = Array.make ncap [||]
+    and ns = Array.make ncap [||]
+    and nl = Array.make ncap 0 in
     Array.blit q.buckets 0 nb 0 cap;
     Array.blit q.sizes 0 ns 0 cap;
+    Array.blit q.level 0 nl 0 cap;
     q.buckets <- nb;
-    q.sizes <- ns
+    q.sizes <- ns;
+    q.level <- nl
   end;
-  let b = q.buckets.(len) and sz = q.sizes.(len) in
+  if Array.length q.sizes.(len) = 0 then begin
+    q.buckets.(len) <- Array.make q.k [||];
+    q.sizes.(len) <- Array.make q.k 0
+  end;
+  let row = q.buckets.(len) and szs = q.sizes.(len) in
+  let b = row.(org) and sz = szs.(org) in
   let b =
     if sz = Array.length b then begin
       let nb = Array.make (Stdlib.max 8 (2 * sz)) 0 in
       Array.blit b 0 nb 0 sz;
-      q.buckets.(len) <- nb;
+      row.(org) <- nb;
       nb
     end
     else b
   in
   b.(sz) <- packed;
-  q.sizes.(len) <- sz + 1;
+  szs.(org) <- sz + 1;
+  q.level.(len) <- q.level.(len) + 1;
   q.pending <- q.pending + 1
 
-(* Ascending in-place sort of a.(lo..hi-1): insertion sort for small
-   ranges, median-of-three quicksort above — monomorphic int compares
-   throughout. *)
-let rec sort_range (a : int array) lo hi =
-  if hi - lo <= 12 then
-    for i = lo + 1 to hi - 1 do
-      let v = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > v do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- v
-    done
-  else begin
-    let mid = lo + ((hi - lo) lsr 1) in
-    let x = a.(lo) and y = a.(mid) and z = a.(hi - 1) in
-    let pivot =
-      if x < y then if y < z then y else if x < z then z else x
-      else if x < z then x
-      else if y < z then z
-      else y
-    in
-    let i = ref lo and j = ref (hi - 1) in
-    while !i <= !j do
-      while a.(!i) < pivot do
-        incr i
-      done;
-      while a.(!j) > pivot do
-        decr j
-      done;
-      if !i <= !j then begin
-        let tmp = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- tmp;
-        incr i;
-        decr j
-      end
-    done;
-    sort_range a lo (!j + 1);
-    sort_range a !i hi
-  end
-
-let dial_drain q f =
-  while q.pending > 0 do
-    while q.sizes.(q.cur) = 0 do
-      q.cur <- q.cur + 1
-    done;
-    let len = q.cur in
-    let b = q.buckets.(len) and sz = q.sizes.(len) in
-    sort_range b 0 sz;
-    (* Processing can only push to higher buckets, so [sz] is final. *)
-    q.pending <- q.pending - sz;
-    q.sizes.(len) <- 0;
-    q.cur <- len + 1;
-    for i = 0 to sz - 1 do
-      f ~len b.(i)
-    done
-  done
+(* Open the next non-empty level: returns the length and the
+   per-origin buckets and fills, and marks the level consumed. *)
+let levels_next q =
+  while q.level.(q.cur) = 0 do
+    q.cur <- q.cur + 1
+  done;
+  let len = q.cur in
+  q.pending <- q.pending - q.level.(len);
+  q.level.(len) <- 0;
+  q.cur <- len + 1;
+  (len, q.buckets.(len), q.sizes.(len))
 
 (* Seeds: announcements the origin sends on its own sessions, grouped
    by the class in which the receiving AS learns them. *)
@@ -238,6 +209,8 @@ let seeds topo config ~klass =
 let c_exported = Netsim_obs.Metrics.counter "bgp.announcements_exported"
 let c_selected = Netsim_obs.Metrics.counter "bgp.routes_selected"
 let c_visited = Netsim_obs.Metrics.counter "bgp.ases_visited"
+let c_batches = Netsim_obs.Metrics.counter "bgp.propagate_batches"
+let c_batch_origins = Netsim_obs.Metrics.counter "bgp.propagate_batch_origins"
 
 let record_run_stats ~tracing n (cust : int array) peer prov =
   if tracing then begin
@@ -258,7 +231,7 @@ let record_run_stats ~tracing n (cust : int array) peer prov =
    path length or the stable (parent, link) pair; otherwise the best
    entry of the next non-empty class lost on relationship class alone;
    otherwise the winner was the only candidate anywhere. *)
-let pv_rule pva ~cust:(_ : int array) ~peer ~prov ~cls ~winner x =
+let pv_rule pva ~peer ~prov ~cls ~winner x =
   let same = Provenance.runner_up pva ~cls x in
   if same >= 0 then
     if e_len same <> e_len winner then Provenance.Path_length
@@ -285,332 +258,241 @@ let record_provenance_stats ~tracing n ~origin pva cust peer prov =
             match cls with 0 -> cust.(x) | 1 -> peer.(x) | _ -> prov.(x)
           in
           Provenance.bump_decision cls;
-          Provenance.bump_rule (pv_rule pva ~cust ~peer ~prov ~cls ~winner x)
+          Provenance.bump_rule (pv_rule pva ~peer ~prov ~cls ~winner x)
         end
       end
     done
 
-(* Shared placeholder for provenance-off runs: never written, so the
-   hot loops can hold an unconditional arena local and guard each
-   record with the [pv_on] immutable bool (load + branch, the flight
-   recorder's disabled-cost discipline). *)
-let no_arena = Provenance.create 0
+(* ---- the level drain -------------------------------------------------- *)
 
-let run ?provenance topo config =
-  Netsim_obs.Span.with_ ~name:"bgp.propagate" @@ fun () ->
-  (* One flag read per run: record sites below are guarded by this
-     immutable local so the disabled-mode cost in the hot loops is a
-     single well-predicted branch. *)
-  let tracing = Netsim_obs.Metrics.enabled () in
-  let pv_on =
-    match provenance with Some b -> b | None -> Provenance.enabled ()
-  in
-  let n = Topology.as_count topo in
-  (* CSR adjacency arena: AS x's packed neighbor words are
-     wrd.(off.(x)) .. wrd.(off.(x+1)-1).  Hoisted once per run. *)
-  let off = Topology.csr_offsets topo and wrd = Topology.csr_words topo in
-  let pva = if pv_on then Provenance.create n else no_arena in
-  let origin = config.Announce.origin in
-  let cust = Array.make n (-1) in
-  let peer = Array.make n (-1) in
-  let prov = Array.make n (-1) in
-  (* ---- Phase 1: customer-learned routes (propagate upward). ---- *)
-  let q = dial_create () in
-  let push_seed (target, len, (_ : int), link, ne) =
-    if tracing then Netsim_obs.Metrics.incr c_exported;
-    dial_push q ~len (q_pack ~parent:origin ~link:link.Relation.id ~target ~ne)
-  in
-  List.iter push_seed (seeds topo config ~klass:Route.Customer);
-  (* Provenance in the drains: the queue is monotone, so the first pop
-     for a target is the winning candidate and every later pop a loser
-     — count each arrival, offer losers as runner-ups. *)
-  dial_drain q (fun ~len v ->
-      let target = q_target v in
-      if target <> origin then
-        if cust.(target) < 0 then begin
-          if pv_on then Provenance.count pva ~cls:0 target;
-          cust.(target) <-
-            e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v);
-          (* target exports its best customer route to its providers —
-             unless the announcement was scoped with NO_EXPORT. *)
-          if not (q_ne v) then
-            for i = off.(target) to off.(target + 1) - 1 do
-              let pn = wrd.(i) in
-              match Topology.pn_rel pn with
-              | Relation.To_provider ->
-                  let up = Topology.pn_peer pn in
-                  if up <> origin then begin
-                    if tracing then Netsim_obs.Metrics.incr c_exported;
-                    dial_push q ~len:(len + 1)
-                      (q_pack ~parent:target ~link:(Topology.pn_link pn)
-                         ~target:up ~ne:false)
-                  end
-              | Relation.To_customer | Relation.Priv_peer | Relation.Pub_peer
-                ->
-                  ()
-            done
-        end
-        else if pv_on then begin
-          Provenance.count pva ~cls:0 target;
-          Provenance.offer pva ~cls:0 target
-            (e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v))
-        end);
-  (* ---- Phase 2: peer-learned routes (single lateral step). ----
-     Provenance here is the classic two-minima update: when a new best
-     displaces the current entry, the displaced entry is offered as
-     runner-up (it beat every earlier loser); otherwise the candidate
-     itself lost.  Order-independent either way. *)
-  List.iter
-    (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-      if target <> origin then begin
-        let cand = e_pack ~len ~parent:origin ~link:link.Relation.id ~ne in
-        let cur = peer.(target) in
-        if pv_on then begin
-          Provenance.count pva ~cls:1 target;
-          if cur >= 0 then
-            Provenance.offer pva ~cls:1 target (if cand < cur then cur else cand)
-        end;
-        if cur < 0 || cand < cur then peer.(target) <- cand
-      end)
-    (seeds topo config ~klass:Route.Peer);
-  for x = 0 to n - 1 do
-    let ex = cust.(x) in
-    if ex >= 0 && not (e_ne ex) then begin
-      let len1 = e_len ex + 1 in
-      for i = off.(x) to off.(x + 1) - 1 do
-        let pn = wrd.(i) in
-        match Topology.pn_rel pn with
-        | Relation.Priv_peer | Relation.Pub_peer ->
-            let lateral = Topology.pn_peer pn in
-            if lateral <> origin then begin
-              let cand =
-                e_pack ~len:len1 ~parent:x ~link:(Topology.pn_link pn) ~ne:false
-              in
-              let cur = peer.(lateral) in
-              if pv_on then begin
-                Provenance.count pva ~cls:1 lateral;
-                if cur >= 0 then
-                  Provenance.offer pva ~cls:1 lateral
-                    (if cand < cur then cur else cand)
-              end;
-              if cur < 0 || cand < cur then peer.(lateral) <- cand
+(* Who may receive a drain's exports: every AS, over rows that hold
+   only the exported class (a segment of the partitioned arena), or
+   the ASes of a reconvergence's dirty mask, over full rows of the
+   arena filtered to the exported relation — reconvergence visits only
+   dirty rows, so it never needs the new topology's partition. *)
+type receivers = All | Dirty of bool array * Relation.rel
+
+(* Drain [q] level by level into the class table [table] (stride [k]:
+   origin [o]'s entry for AS [x] is [table.(x * k + o)]).  A settle
+   pass keeps each target's minimum candidate — the route preference,
+   see the queue comment — and writes the newly settled targets back
+   into the bucket's prefix; an export pass then pushes, at [len + 1],
+   from each newly settled target for which [exports idx] holds, over
+   its adjacency rows [seg_off]/[seg_words] to the ASes [recv] admits.
+   Exports only depend on the final winner, which is already known.
+
+   Provenance, when [pvas] is non-empty: every arrival is counted, and
+   the two-minima settle offers every candidate but the minimum as a
+   runner-up (each comparison permanently discards one), so the arena
+   is independent of arrival order. *)
+let drain q ~k ~origins ~table ~seg_off ~seg_words ~exports ~recv ~tracing
+    ~pvas ~cls =
+  let pv_on = Array.length pvas > 0 in
+  while q.pending > 0 do
+    let len, row, szs = levels_next q in
+    for org = 0 to k - 1 do
+      let sz = szs.(org) in
+      if sz > 0 then begin
+        let b = row.(org) in
+        szs.(org) <- 0;
+        let origin = origins.(org) in
+        let settled = ref 0 in
+        for i = 0 to sz - 1 do
+          let v = b.(i) in
+          let target = q_target v in
+          if target <> origin then begin
+            let idx = (target * k) + org in
+            let cand =
+              e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v)
+            in
+            let cur = table.(idx) in
+            if pv_on then Provenance.count pvas.(org) ~cls target;
+            if cur < 0 then begin
+              table.(idx) <- cand;
+              b.(!settled) <- target;
+              incr settled
             end
-        | Relation.To_customer | Relation.To_provider -> ()
-      done
-    end
+            else begin
+              if cand < cur then table.(idx) <- cand;
+              if pv_on then
+                Provenance.offer pvas.(org) ~cls target
+                  (if cand < cur then cur else cand)
+            end
+          end
+        done;
+        for i = 0 to !settled - 1 do
+          let target = b.(i) in
+          if exports ((target * k) + org) then
+            for j = seg_off.(target) to seg_off.(target + 1) - 1 do
+              let pn = seg_words.(j) in
+              let next = Topology.pn_peer pn in
+              let admitted =
+                match recv with
+                | All -> true
+                | Dirty (mask, rel) ->
+                    (* Constant constructors: [==] compares immediates. *)
+                    mask.(next) && Topology.pn_rel pn == rel
+              in
+              if admitted && next <> origin then begin
+                if tracing then Netsim_obs.Metrics.incr c_exported;
+                levels_push q ~len:(len + 1) ~org
+                  (q_pack ~parent:target ~link:(Topology.pn_link pn)
+                     ~target:next ~ne:false)
+              end
+            done
+        done
+      end
+    done
+  done
+
+(* Phase 2's update of origin [o]'s peer slot for [target] (stride
+   [k]).  Provenance here is the classic two-minima update: when a new
+   best displaces the current entry, the displaced entry is offered as
+   runner-up (it beat every earlier loser); otherwise the candidate
+   itself lost.  Order-independent either way. *)
+let offer_peer (bp : int array) pvas ~k o target cand =
+  let idx = (target * k) + o in
+  let cur = bp.(idx) in
+  if Array.length pvas > 0 then begin
+    Provenance.count pvas.(o) ~cls:1 target;
+    if cur >= 0 then
+      Provenance.offer pvas.(o) ~cls:1 target (if cand < cur then cur else cand)
+  end;
+  if cur < 0 || cand < cur then bp.(idx) <- cand
+
+(* ---- propagation ------------------------------------------------------ *)
+
+(* The one propagation kernel: sweeps the origins of [configs] through
+   the three Gao–Rexford phases in one pass and returns one state per
+   config.  Origins never interact — each reads and writes only its
+   own slots — so every state equals a run of its config alone.  Entry
+   state lives in stride-k flat arrays (class.(x * k + o)) so the
+   inner origin loops stay on adjacent words; the phase-2 lateral and
+   phase-3 boundary sweeps walk each adjacency row once, origins
+   inner; sweeps and drains walk only the words of the relation class
+   they export to (the topology's partitioned arena).  Opens no span
+   and bumps no batch counter: [run] and [run_batch] own those. *)
+let kernel ~tracing ~pv_on topo configs =
+  let k = Array.length configs in
+  let n = Topology.as_count topo in
+  let part = Topology.partition topo in
+  let origins = Array.map (fun c -> c.Announce.origin) configs in
+  let pvas =
+    if pv_on then Array.init k (fun _ -> Provenance.create n) else [||]
+  in
+  let bc = Array.make (n * k) (-1)
+  and bp = Array.make (n * k) (-1)
+  and bv = Array.make (n * k) (-1) in
+  let push_seeds q ~klass =
+    for o = 0 to k - 1 do
+      List.iter
+        (fun (target, len, (_ : int), (link : Relation.link), ne) ->
+          if tracing then Netsim_obs.Metrics.incr c_exported;
+          levels_push q ~len ~org:o
+            (q_pack ~parent:origins.(o) ~link:link.Relation.id ~target ~ne))
+        (seeds topo configs.(o) ~klass)
+    done
+  in
+  (* ---- Phase 1: customer-learned routes, exported up. ---- *)
+  let q = levels_create k in
+  push_seeds q ~klass:Route.Customer;
+  drain q ~k ~origins ~table:bc ~seg_off:part.Topology.up_off
+    ~seg_words:part.Topology.up_words
+    ~exports:(fun idx -> not (e_ne bc.(idx)))
+    ~recv:All ~tracing ~pvas ~cls:0;
+  (* ---- Phase 2: peer-learned routes (single lateral step). ---- *)
+  for o = 0 to k - 1 do
+    List.iter
+      (fun (target, len, (_ : int), (link : Relation.link), ne) ->
+        if target <> origins.(o) then
+          offer_peer bp pvas ~k o target
+            (e_pack ~len ~parent:origins.(o) ~link:link.Relation.id ~ne))
+      (seeds topo configs.(o) ~klass:Route.Peer)
   done;
-  (* ---- Phase 3: provider-learned routes (propagate downward). ---- *)
-  let q = dial_create () in
-  List.iter
-    (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-      if tracing then Netsim_obs.Metrics.incr c_exported;
-      dial_push q ~len (q_pack ~parent:origin ~link:link.Relation.id ~target ~ne))
-    (seeds topo config ~klass:Route.Provider);
-  (* ASes whose selection is already final export to their customers
-     regardless of phase-3 progress. *)
+  let lat_off = part.Topology.lat_off and lat_w = part.Topology.lat_words in
   for x = 0 to n - 1 do
-    let ex = if cust.(x) >= 0 then cust.(x) else peer.(x) in
-    if ex >= 0 && not (e_ne ex) then begin
-      let len1 = e_len ex + 1 in
-      for i = off.(x) to off.(x + 1) - 1 do
-        let pn = wrd.(i) in
-        match Topology.pn_rel pn with
-        | Relation.To_customer ->
+    if lat_off.(x + 1) > lat_off.(x) then
+      for o = 0 to k - 1 do
+        let ex = bc.((x * k) + o) in
+        if ex >= 0 && not (e_ne ex) then
+          for i = lat_off.(x) to lat_off.(x + 1) - 1 do
+            let pn = lat_w.(i) in
+            let lateral = Topology.pn_peer pn in
+            if lateral <> origins.(o) then
+              offer_peer bp pvas ~k o lateral
+                (e_pack ~len:(e_len ex + 1) ~parent:x
+                   ~link:(Topology.pn_link pn) ~ne:false)
+          done
+      done
+  done;
+  (* ---- Phase 3: provider-learned routes, exported down. ---- *)
+  let q = levels_create k in
+  push_seeds q ~klass:Route.Provider;
+  (* ASes whose selection is already final (a customer or peer route)
+     export to their customers regardless of phase-3 progress. *)
+  let down_off = part.Topology.down_off and down_w = part.Topology.down_words in
+  for x = 0 to n - 1 do
+    if down_off.(x + 1) > down_off.(x) then
+      for o = 0 to k - 1 do
+        let c = bc.((x * k) + o) in
+        let ex = if c >= 0 then c else bp.((x * k) + o) in
+        if ex >= 0 && not (e_ne ex) then
+          for i = down_off.(x) to down_off.(x + 1) - 1 do
+            let pn = down_w.(i) in
             let down = Topology.pn_peer pn in
-            if down <> origin then begin
+            if down <> origins.(o) then begin
               if tracing then Netsim_obs.Metrics.incr c_exported;
-              dial_push q ~len:len1
+              levels_push q ~len:(e_len ex + 1) ~org:o
                 (q_pack ~parent:x ~link:(Topology.pn_link pn) ~target:down
                    ~ne:false)
             end
-        | Relation.To_provider | Relation.Priv_peer | Relation.Pub_peer -> ()
+          done
       done
-    end
   done;
-  dial_drain q (fun ~len v ->
-      let target = q_target v in
-      if target <> origin then
-        if prov.(target) < 0 then begin
-          if pv_on then Provenance.count pva ~cls:2 target;
-          prov.(target) <-
-            e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v);
-          (* If the provider route is the target's selected best, it now
-             exports that route to its customers. *)
-          if cust.(target) < 0 && peer.(target) < 0 && not (q_ne v) then
-            for i = off.(target) to off.(target + 1) - 1 do
-              let pn = wrd.(i) in
-              match Topology.pn_rel pn with
-              | Relation.To_customer ->
-                  let down = Topology.pn_peer pn in
-                  if down <> origin then begin
-                    if tracing then Netsim_obs.Metrics.incr c_exported;
-                    dial_push q ~len:(len + 1)
-                      (q_pack ~parent:target ~link:(Topology.pn_link pn)
-                         ~target:down ~ne:false)
-                  end
-              | Relation.To_provider | Relation.Priv_peer | Relation.Pub_peer
-                ->
-                  ()
-            done
+  (* A provider route is exported only when it is the AS's selected
+     best; [bc]/[bp] are final by now. *)
+  drain q ~k ~origins ~table:bv ~seg_off:down_off ~seg_words:down_w
+    ~exports:(fun idx -> bc.(idx) < 0 && bp.(idx) < 0 && not (e_ne bv.(idx)))
+    ~recv:All ~tracing ~pvas ~cls:2;
+  (* ---- Per-origin states: a single origin keeps the tables. ---- *)
+  let link_by_id = link_index topo in
+  Array.init k (fun o ->
+      let cust, peer, prov =
+        if k = 1 then (bc, bp, bv)
+        else begin
+          let cust = Array.make n (-1)
+          and peer = Array.make n (-1)
+          and prov = Array.make n (-1) in
+          for x = 0 to n - 1 do
+            let idx = (x * k) + o in
+            cust.(x) <- bc.(idx);
+            peer.(x) <- bp.(idx);
+            prov.(x) <- bv.(idx)
+          done;
+          (cust, peer, prov)
         end
-        else if pv_on then begin
-          Provenance.count pva ~cls:2 target;
-          Provenance.offer pva ~cls:2 target
-            (e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v))
-        end);
-  record_run_stats ~tracing n cust peer prov;
-  if pv_on then record_provenance_stats ~tracing n ~origin pva cust peer prov;
-  { topo; config; link_by_id = link_index topo; cust; peer; prov;
-    pv = (if pv_on then Some pva else None) }
+      in
+      record_run_stats ~tracing n cust peer prov;
+      if pv_on then
+        record_provenance_stats ~tracing n ~origin:origins.(o) pvas.(o) cust
+          peer prov;
+      {
+        topo;
+        config = configs.(o);
+        link_by_id;
+        cust;
+        peer;
+        prov;
+        pv = (if pv_on then Some pvas.(o) else None);
+      })
 
-(* ---- batched multi-origin propagation -------------------------------- *)
+let pv_default = function Some b -> b | None -> Provenance.enabled ()
 
-(* [run_batch] sweeps many origins through the topology in one pass.
-   Per origin it performs exactly the pushes of [run]: queue entries of
-   different origins never interact, and within a level each target's
-   winner is the minimum candidate by (parent, link, ne) — the same
-   entry [run]'s sorted first-pop selects — so every returned state is
-   entry-identical to an independent [run] (the differential property
-   in test/test_scale.ml).  What batching buys over k independent
-   runs:
-
-   - the level drains settle by minimum instead of by sorted pop
-     order, so the per-bucket sort — a large share of [run]'s queue
-     cost — disappears entirely;
-   - [link_index] and the class-partitioned adjacency are built once
-     per batch instead of once per run;
-   - the phase-2 lateral and phase-3 boundary sweeps walk each CSR row
-     once, with the origins in the inner loop;
-   - export scans in the drains iterate only the edges of the relevant
-     relation class (the partitioned arena) instead of decoding every
-     word of a full row per origin.
-
-   Entry state lives in stride-k flat arrays (class.(x * k + o)) so
-   the inner origin loops stay on adjacent words. *)
-
-let c_batches = Netsim_obs.Metrics.counter "bgp.propagate_batches"
-let c_batch_origins = Netsim_obs.Metrics.counter "bgp.propagate_batch_origins"
-
-(* The dial queue generalized to per-(length, origin) sub-buckets.  A
-   packed queue word has no spare bits for the origin, so the origin
-   index selects a sub-bucket instead.  Buckets stay unsorted — level
-   drains settle each target by minimum candidate, which coincides
-   with [run]'s sorted pop order (see the drain comment in
-   [run_batch]) — and cross-origin interleaving is unobservable
-   because an origin's entries only touch its own slots. *)
-type bdial = {
-  bk : int;
-  mutable bbuckets : int array array array;  (* [len].(org) packed words *)
-  mutable bsizes : int array array;  (* [len].(org) fill count *)
-  mutable blevel : int array;  (* pending words per length *)
-  mutable bcur : int;
-  mutable bpending : int;
-}
-
-let bdial_create k =
-  {
-    bk = k;
-    bbuckets = Array.make 16 [||];
-    bsizes = Array.make 16 [||];
-    blevel = Array.make 16 0;
-    bcur = 0;
-    bpending = 0;
-  }
-
-let bdial_push q ~len ~org packed =
-  if len < 0 || len > max_path_len then
-    invalid_arg "Propagate: path length out of packed range";
-  if len < q.bcur then invalid_arg "Propagate: non-monotone queue push";
-  let cap = Array.length q.bbuckets in
-  if len >= cap then begin
-    let ncap = Stdlib.max (len + 1) (2 * cap) in
-    let nb = Array.make ncap [||]
-    and ns = Array.make ncap [||]
-    and nl = Array.make ncap 0 in
-    Array.blit q.bbuckets 0 nb 0 cap;
-    Array.blit q.bsizes 0 ns 0 cap;
-    Array.blit q.blevel 0 nl 0 cap;
-    q.bbuckets <- nb;
-    q.bsizes <- ns;
-    q.blevel <- nl
-  end;
-  if Array.length q.bsizes.(len) = 0 then begin
-    q.bbuckets.(len) <- Array.make q.bk [||];
-    q.bsizes.(len) <- Array.make q.bk 0
-  end;
-  let row = q.bbuckets.(len) and szs = q.bsizes.(len) in
-  let b = row.(org) and sz = szs.(org) in
-  let b =
-    if sz = Array.length b then begin
-      let nb = Array.make (Stdlib.max 8 (2 * sz)) 0 in
-      Array.blit b 0 nb 0 sz;
-      row.(org) <- nb;
-      nb
-    end
-    else b
-  in
-  b.(sz) <- packed;
-  szs.(org) <- sz + 1;
-  q.blevel.(len) <- q.blevel.(len) + 1;
-  q.bpending <- q.bpending + 1
-
-(* Open the next non-empty level for draining: returns the length, the
-   per-origin buckets and fills, and marks the level consumed (pops at
-   [len] only push to [len + 1], so these buckets are final — same
-   argument as [dial_drain], per origin). *)
-let bdial_next_level q =
-  while q.blevel.(q.bcur) = 0 do
-    q.bcur <- q.bcur + 1
-  done;
-  let len = q.bcur in
-  q.bpending <- q.bpending - q.blevel.(len);
-  q.blevel.(len) <- 0;
-  q.bcur <- len + 1;
-  (len, q.bbuckets.(len), q.bsizes.(len))
-
-(* Class-partitioned copy of the CSR arena: per AS, only its
-   To_provider / peer / To_customer words, in row order.  One O(n+m)
-   pass; lets the batch drains skip the per-word relation decode. *)
-let partition_csr n (off : int array) (wrd : int array) =
-  let up_off = Array.make (n + 1) 0
-  and lat_off = Array.make (n + 1) 0
-  and down_off = Array.make (n + 1) 0 in
-  for x = 0 to n - 1 do
-    for i = off.(x) to off.(x + 1) - 1 do
-      match Topology.pn_rel wrd.(i) with
-      | Relation.To_provider -> up_off.(x + 1) <- up_off.(x + 1) + 1
-      | Relation.Priv_peer | Relation.Pub_peer ->
-          lat_off.(x + 1) <- lat_off.(x + 1) + 1
-      | Relation.To_customer -> down_off.(x + 1) <- down_off.(x + 1) + 1
-    done
-  done;
-  for x = 0 to n - 1 do
-    up_off.(x + 1) <- up_off.(x + 1) + up_off.(x);
-    lat_off.(x + 1) <- lat_off.(x + 1) + lat_off.(x);
-    down_off.(x + 1) <- down_off.(x + 1) + down_off.(x)
-  done;
-  let up_w = Array.make up_off.(n) 0
-  and lat_w = Array.make lat_off.(n) 0
-  and down_w = Array.make down_off.(n) 0 in
-  let ui = Array.copy up_off
-  and li = Array.copy lat_off
-  and di = Array.copy down_off in
-  for x = 0 to n - 1 do
-    for i = off.(x) to off.(x + 1) - 1 do
-      let pn = wrd.(i) in
-      match Topology.pn_rel pn with
-      | Relation.To_provider ->
-          up_w.(ui.(x)) <- pn;
-          ui.(x) <- ui.(x) + 1
-      | Relation.Priv_peer | Relation.Pub_peer ->
-          lat_w.(li.(x)) <- pn;
-          li.(x) <- li.(x) + 1
-      | Relation.To_customer ->
-          down_w.(di.(x)) <- pn;
-          di.(x) <- di.(x) + 1
-    done
-  done;
-  (up_off, up_w, lat_off, lat_w, down_off, down_w)
+let run ?provenance topo config =
+  Netsim_obs.Span.with_ ~name:"bgp.propagate" @@ fun () ->
+  (kernel
+     ~tracing:(Netsim_obs.Metrics.enabled ())
+     ~pv_on:(pv_default provenance) topo [| config |]).(0)
 
 let run_batch ?provenance topo configs =
   let k = Array.length configs in
@@ -622,395 +504,7 @@ let run_batch ?provenance topo configs =
       Netsim_obs.Metrics.incr c_batches;
       Netsim_obs.Metrics.add c_batch_origins k
     end;
-    let pv_on =
-      match provenance with Some b -> b | None -> Provenance.enabled ()
-    in
-    let n = Topology.as_count topo in
-    let off = Topology.csr_offsets topo and wrd = Topology.csr_words topo in
-    let up_off, up_w, lat_off, lat_w, down_off, down_w =
-      partition_csr n off wrd
-    in
-    let origins = Array.map (fun c -> c.Announce.origin) configs in
-    let pvas =
-      if pv_on then Array.init k (fun _ -> Provenance.create n) else [||]
-    in
-    let bc = Array.make (n * k) (-1)
-    and bp = Array.make (n * k) (-1)
-    and bv = Array.make (n * k) (-1) in
-    (* ---- Phase 1: customer-learned routes, all origins. ---- *)
-    let q = bdial_create k in
-    for o = 0 to k - 1 do
-      List.iter
-        (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-          if tracing then Netsim_obs.Metrics.incr c_exported;
-          bdial_push q ~len ~org:o
-            (q_pack ~parent:origins.(o) ~link:link.Relation.id ~target ~ne))
-        (seeds topo configs.(o) ~klass:Route.Customer)
-    done;
-    (* Drain level by level, buckets unsorted: within a level, [run]'s
-       sorted first-pop winner for a target is the minimum candidate by
-       (parent, link, ne) — exactly [e_pack] order at equal length — so
-       a two-minima settle pass picks the identical winner (and, with
-       provenance on, offers the identical loser multiset: every
-       comparison permanently discards one candidate, so the offers are
-       all candidates but the min, just as [run]'s post-settle pops
-       are).  An export pass then pushes the newly settled ASes'
-       provider exports at [len + 1]; exports only depend on the final
-       winner, which is already known.  Skipping the per-bucket sort is
-       most of [run_batch]'s speedup at scale.  The bucket array
-       doubles as the newly-settled worklist: settled targets are
-       written back into its prefix during the settle pass. *)
-    while q.bpending > 0 do
-      let len, row, szs = bdial_next_level q in
-      for org = 0 to k - 1 do
-        let sz = szs.(org) in
-        if sz > 0 then begin
-          let b = row.(org) in
-          szs.(org) <- 0;
-          let origin = origins.(org) in
-          let settled = ref 0 in
-          for i = 0 to sz - 1 do
-            let v = b.(i) in
-            let target = q_target v in
-            if target <> origin then begin
-              let idx = (target * k) + org in
-              let cand =
-                e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v)
-              in
-              let cur = bc.(idx) in
-              if pv_on then Provenance.count pvas.(org) ~cls:0 target;
-              if cur < 0 then begin
-                bc.(idx) <- cand;
-                b.(!settled) <- target;
-                incr settled
-              end
-              else begin
-                if cand < cur then bc.(idx) <- cand;
-                if pv_on then
-                  Provenance.offer pvas.(org) ~cls:0 target
-                    (if cand < cur then cur else cand)
-              end
-            end
-          done;
-          for i = 0 to !settled - 1 do
-            let target = b.(i) in
-            if not (e_ne bc.((target * k) + org)) then
-              for j = up_off.(target) to up_off.(target + 1) - 1 do
-                let pn = up_w.(j) in
-                let up = Topology.pn_peer pn in
-                if up <> origin then begin
-                  if tracing then Netsim_obs.Metrics.incr c_exported;
-                  bdial_push q ~len:(len + 1) ~org
-                    (q_pack ~parent:target ~link:(Topology.pn_link pn)
-                       ~target:up ~ne:false)
-                end
-              done
-          done
-        end
-      done
-    done;
-    (* ---- Phase 2: peer-learned routes. ---- *)
-    for o = 0 to k - 1 do
-      let origin = origins.(o) in
-      List.iter
-        (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-          if target <> origin then begin
-            let idx = (target * k) + o in
-            let cand = e_pack ~len ~parent:origin ~link:link.Relation.id ~ne in
-            let cur = bp.(idx) in
-            if pv_on then begin
-              Provenance.count pvas.(o) ~cls:1 target;
-              if cur >= 0 then
-                Provenance.offer pvas.(o) ~cls:1 target
-                  (if cand < cur then cur else cand)
-            end;
-            if cur < 0 || cand < cur then bp.(idx) <- cand
-          end)
-        (seeds topo configs.(o) ~klass:Route.Peer)
-    done;
-    (* Lateral sweep: one walk over each AS's peer words; origins in
-       the inner loop.  For a fixed origin the candidate order is
-       [run]'s (x ascending, row order) and the two-minima update is
-       order-independent anyway. *)
-    for x = 0 to n - 1 do
-      if lat_off.(x + 1) > lat_off.(x) then begin
-        let base = x * k in
-        for o = 0 to k - 1 do
-          let ex = bc.(base + o) in
-          if ex >= 0 && not (e_ne ex) then begin
-            let len1 = e_len ex + 1 in
-            let origin = origins.(o) in
-            for i = lat_off.(x) to lat_off.(x + 1) - 1 do
-              let pn = lat_w.(i) in
-              let lateral = Topology.pn_peer pn in
-              if lateral <> origin then begin
-                let idx = (lateral * k) + o in
-                let cand =
-                  e_pack ~len:len1 ~parent:x ~link:(Topology.pn_link pn)
-                    ~ne:false
-                in
-                let cur = bp.(idx) in
-                if pv_on then begin
-                  Provenance.count pvas.(o) ~cls:1 lateral;
-                  if cur >= 0 then
-                    Provenance.offer pvas.(o) ~cls:1 lateral
-                      (if cand < cur then cur else cand)
-                end;
-                if cur < 0 || cand < cur then bp.(idx) <- cand
-              end
-            done
-          end
-        done
-      end
-    done;
-    (* ---- Phase 3: provider-learned routes. ---- *)
-    let q = bdial_create k in
-    for o = 0 to k - 1 do
-      List.iter
-        (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-          if tracing then Netsim_obs.Metrics.incr c_exported;
-          bdial_push q ~len ~org:o
-            (q_pack ~parent:origins.(o) ~link:link.Relation.id ~target ~ne))
-        (seeds topo configs.(o) ~klass:Route.Provider)
-    done;
-    (* Boundary sweep: each AS row walked once, origins inner. *)
-    for x = 0 to n - 1 do
-      if down_off.(x + 1) > down_off.(x) then begin
-        let base = x * k in
-        for o = 0 to k - 1 do
-          let c = bc.(base + o) in
-          let ex = if c >= 0 then c else bp.(base + o) in
-          if ex >= 0 && not (e_ne ex) then begin
-            let len1 = e_len ex + 1 in
-            let origin = origins.(o) in
-            for i = down_off.(x) to down_off.(x + 1) - 1 do
-              let pn = down_w.(i) in
-              let down = Topology.pn_peer pn in
-              if down <> origin then begin
-                if tracing then Netsim_obs.Metrics.incr c_exported;
-                bdial_push q ~len:len1 ~org:o
-                  (q_pack ~parent:x ~link:(Topology.pn_link pn) ~target:down
-                     ~ne:false)
-              end
-            done
-          end
-        done
-      end
-    done;
-    (* Same unsorted level drain as phase 1 (see the comment there);
-       the export condition — the provider route is the target's
-       selected best — reads [bc]/[bp], which are final by now, and
-       the winner's NO_EXPORT flag. *)
-    while q.bpending > 0 do
-      let len, row, szs = bdial_next_level q in
-      for org = 0 to k - 1 do
-        let sz = szs.(org) in
-        if sz > 0 then begin
-          let b = row.(org) in
-          szs.(org) <- 0;
-          let origin = origins.(org) in
-          let settled = ref 0 in
-          for i = 0 to sz - 1 do
-            let v = b.(i) in
-            let target = q_target v in
-            if target <> origin then begin
-              let idx = (target * k) + org in
-              let cand =
-                e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v)
-              in
-              let cur = bv.(idx) in
-              if pv_on then Provenance.count pvas.(org) ~cls:2 target;
-              if cur < 0 then begin
-                bv.(idx) <- cand;
-                b.(!settled) <- target;
-                incr settled
-              end
-              else begin
-                if cand < cur then bv.(idx) <- cand;
-                if pv_on then
-                  Provenance.offer pvas.(org) ~cls:2 target
-                    (if cand < cur then cur else cand)
-              end
-            end
-          done;
-          for i = 0 to !settled - 1 do
-            let target = b.(i) in
-            let idx = (target * k) + org in
-            if bc.(idx) < 0 && bp.(idx) < 0 && not (e_ne bv.(idx)) then
-              for j = down_off.(target) to down_off.(target + 1) - 1 do
-                let pn = down_w.(j) in
-                let down = Topology.pn_peer pn in
-                if down <> origin then begin
-                  if tracing then Netsim_obs.Metrics.incr c_exported;
-                  bdial_push q ~len:(len + 1) ~org
-                    (q_pack ~parent:target ~link:(Topology.pn_link pn)
-                       ~target:down ~ne:false)
-                end
-              done
-          done
-        end
-      done
-    done;
-    (* ---- Slice the strided arrays into per-origin states. ---- *)
-    let link_by_id = link_index topo in
-    Array.init k (fun o ->
-        let cust = Array.make n (-1)
-        and peer = Array.make n (-1)
-        and prov = Array.make n (-1) in
-        for x = 0 to n - 1 do
-          let idx = (x * k) + o in
-          cust.(x) <- bc.(idx);
-          peer.(x) <- bp.(idx);
-          prov.(x) <- bv.(idx)
-        done;
-        record_run_stats ~tracing n cust peer prov;
-        if pv_on then
-          record_provenance_stats ~tracing n ~origin:origins.(o) pvas.(o) cust
-            peer prov;
-        {
-          topo;
-          config = configs.(o);
-          link_by_id;
-          cust;
-          peer;
-          prov;
-          pv = (if pv_on then Some pvas.(o) else None);
-        })
-
-(* ---- reference implementation ---------------------------------------- *)
-
-(* The original Set-based priority queue and [entry option] arrays,
-   kept verbatim behind the same interface: the differential QCheck
-   property in the test suite and bench/micro_propagate hold the
-   optimized core to bit-identical results against this. *)
-module Pq = Set.Make (struct
-  type t = int * int * int * int * Relation.link * bool
-
-  let compare (l1, p1, k1, t1, _, _) (l2, p2, k2, t2, _, _) =
-    compare (l1, p1, k1, t1) (l2, p2, k2, t2)
-end)
-
-type ref_entry = {
-  r_len : int;
-  r_parent : int;
-  r_link : Relation.link;
-  r_ne : bool;
-}
-
-let run_reference topo config =
-  Netsim_obs.Span.with_ ~name:"bgp.propagate" @@ fun () ->
-  let tracing = Netsim_obs.Metrics.enabled () in
-  let n = Topology.as_count topo in
-  let origin = config.Announce.origin in
-  let cust = Array.make n None in
-  let peer = Array.make n None in
-  let prov = Array.make n None in
-  (* ---- Phase 1: customer-learned routes (propagate upward). ---- *)
-  let pq = ref Pq.empty in
-  let push (target, len, parent, link, no_export) =
-    if tracing then Netsim_obs.Metrics.incr c_exported;
-    pq := Pq.add (len, parent, link.Relation.id, target, link, no_export) !pq
-  in
-  List.iter push (seeds topo config ~klass:Route.Customer);
-  while not (Pq.is_empty !pq) do
-    let ((len, parent, _, target, link, no_export) as elt) = Pq.min_elt !pq in
-    pq := Pq.remove elt !pq;
-    if target <> origin && cust.(target) = None then begin
-      cust.(target) <- Some { r_len = len; r_parent = parent; r_link = link; r_ne = no_export };
-      if not no_export then
-        List.iter
-          (fun (nb : Topology.neighbor) ->
-            if nb.rel = Relation.To_provider && nb.peer <> origin then
-              push (nb.peer, len + 1, target, nb.link, false))
-          (Topology.neighbors topo target)
-    end
-  done;
-  (* ---- Phase 2: peer-learned routes (single lateral step). ---- *)
-  let better (candidate : ref_entry) (current : ref_entry option) =
-    match current with
-    | None -> true
-    | Some e ->
-        candidate.r_len < e.r_len
-        || (candidate.r_len = e.r_len
-           && (candidate.r_parent, candidate.r_link.Relation.id)
-              < (e.r_parent, e.r_link.Relation.id))
-  in
-  List.iter
-    (fun (target, len, parent, link, no_export) ->
-      if target <> origin then begin
-        let candidate =
-          { r_len = len; r_parent = parent; r_link = link; r_ne = no_export }
-        in
-        if better candidate peer.(target) then peer.(target) <- Some candidate
-      end)
-    (seeds topo config ~klass:Route.Peer);
-  for x = 0 to n - 1 do
-    match cust.(x) with
-    | None -> ()
-    | Some ex ->
-        if not ex.r_ne then
-          List.iter
-            (fun (nb : Topology.neighbor) ->
-              match nb.rel with
-              | Relation.Priv_peer | Relation.Pub_peer ->
-                  if nb.peer <> origin then begin
-                    let candidate =
-                      { r_len = ex.r_len + 1; r_parent = x; r_link = nb.link;
-                        r_ne = false }
-                    in
-                    if better candidate peer.(nb.peer) then
-                      peer.(nb.peer) <- Some candidate
-                  end
-              | Relation.To_customer | Relation.To_provider -> ())
-            (Topology.neighbors topo x)
-  done;
-  (* ---- Phase 3: provider-learned routes (propagate downward). ---- *)
-  let sel_fixed x =
-    match cust.(x) with Some e -> Some e | None -> peer.(x)
-  in
-  let pq = ref Pq.empty in
-  let push (target, len, parent, link, no_export) =
-    if tracing then Netsim_obs.Metrics.incr c_exported;
-    pq := Pq.add (len, parent, link.Relation.id, target, link, no_export) !pq
-  in
-  List.iter push (seeds topo config ~klass:Route.Provider);
-  for x = 0 to n - 1 do
-    match sel_fixed x with
-    | None -> ()
-    | Some ex ->
-        if not ex.r_ne then
-          List.iter
-            (fun (nb : Topology.neighbor) ->
-              if nb.rel = Relation.To_customer && nb.peer <> origin then
-                push (nb.peer, ex.r_len + 1, x, nb.link, false))
-            (Topology.neighbors topo x)
-  done;
-  while not (Pq.is_empty !pq) do
-    let ((len, parent, _, target, link, no_export) as elt) = Pq.min_elt !pq in
-    pq := Pq.remove elt !pq;
-    if target <> origin && prov.(target) = None then begin
-      prov.(target) <- Some { r_len = len; r_parent = parent; r_link = link; r_ne = no_export };
-      if sel_fixed target = None && not no_export then
-        List.iter
-          (fun (nb : Topology.neighbor) ->
-            if nb.rel = Relation.To_customer && nb.peer <> origin then
-              push (nb.peer, len + 1, target, nb.link, false))
-          (Topology.neighbors topo target)
-    end
-  done;
-  let pack_opt = function
-    | None -> -1
-    | Some e ->
-        e_pack ~len:e.r_len ~parent:e.r_parent ~link:e.r_link.Relation.id
-          ~ne:e.r_ne
-  in
-  let cust = Array.map pack_opt cust
-  and peer = Array.map pack_opt peer
-  and prov = Array.map pack_opt prov in
-  record_run_stats ~tracing n cust peer prov;
-  (* The reference stays provenance-free: it is the entry oracle, and
-     the provenance property tests compare optimized runs instead. *)
-  { topo; config; link_by_id = link_index topo; cust; peer; prov; pv = None }
+    kernel ~tracing ~pv_on:(pv_default provenance) topo configs
 
 let equal a b =
   a.config.Announce.origin = b.config.Announce.origin
@@ -1025,34 +519,60 @@ let of_rib_arrays ~topo ~config ~cust ~peer ~prov =
   if Array.length cust <> n || Array.length peer <> n || Array.length prov <> n
   then invalid_arg "Propagate.of_rib_arrays: table length <> AS count";
   let link_by_id = link_index topo in
-  let check_table name (t : int array) =
+  let origin = config.Announce.origin in
+  let fail name x what =
+    invalid_arg
+      (Printf.sprintf "Propagate.of_rib_arrays: %s entry of AS %d %s" name x
+         what)
+  in
+  (* Every entry must be a real one-hop extension of the entry
+     [path_of] follows from its parent, strictly shorter, so path
+     walks over a loaded state always terminate at the origin. *)
+  let check_table name (t : int array) ~rel_ok ~parent_entry =
     Array.iteri
       (fun x v ->
         if v >= 0 then begin
-          if x = config.Announce.origin then
+          if x = origin then
             invalid_arg
               (Printf.sprintf
                  "Propagate.of_rib_arrays: %s entry at the origin" name);
-          let l = e_link v in
+          let l = e_link v and p = e_parent v in
           if l >= Array.length link_by_id || link_by_id.(l).Relation.id <> l
+          then fail name x (Printf.sprintf "references unknown link %d" l);
+          if p >= n then fail name x "has parent out of range";
+          let link = link_by_id.(l) in
+          if
+            not
+              ((link.Relation.a = x && link.Relation.b = p)
+              || (link.Relation.b = x && link.Relation.a = p))
           then
-            invalid_arg
-              (Printf.sprintf
-                 "Propagate.of_rib_arrays: %s entry of AS %d references \
-                  unknown link %d"
-                 name x l);
-          if e_parent v >= n then
-            invalid_arg
-              (Printf.sprintf
-                 "Propagate.of_rib_arrays: %s entry of AS %d has parent out \
-                  of range"
-                 name x)
+            fail name x
+              (Printf.sprintf "link %d does not join it to its parent" l);
+          if not (rel_ok (Relation.rel_of link x)) then
+            fail name x (Printf.sprintf "link %d has the wrong relation" l);
+          if p <> origin then begin
+            let pe = parent_entry p in
+            if pe < 0 then fail name x "has a parent without a route"
+            else if e_len pe >= e_len v then
+              fail name x "is not longer than its parent's route"
+          end
         end)
       t
   in
-  check_table "customer" cust;
-  check_table "peer" peer;
-  check_table "provider" prov;
+  let is_peer = function
+    | Relation.Priv_peer | Relation.Pub_peer -> true
+    | Relation.To_customer | Relation.To_provider -> false
+  in
+  check_table "customer" cust
+    ~rel_ok:(fun r -> r = Relation.To_customer)
+    ~parent_entry:(fun p -> cust.(p));
+  check_table "peer" peer ~rel_ok:is_peer ~parent_entry:(fun p -> cust.(p));
+  check_table "provider" prov
+    ~rel_ok:(fun r -> r = Relation.To_provider)
+    ~parent_entry:(fun p ->
+      if cust.(p) >= 0 then cust.(p)
+      else if peer.(p) >= 0 then peer.(p)
+      else prov.(p));
   (* Snapshots persist only the routing tables; provenance is rebuilt
      deterministically on demand (see Rib_cache.run ~provenance). *)
   {
@@ -1085,7 +605,9 @@ let c_reconverge_dirty = Netsim_obs.Metrics.counter "bgp.reconverge_dirty_ases"
    (transitively) depend on the changed link.  [reconverge] computes a
    conservative per-class dirty set, clears those entries, and re-runs
    the three propagation phases restricted to the dirty ASes, with
-   boundary exports seeded from the untouched entries.  The result is
+   boundary exports seeded from the untouched entries.  Phases 1 and 3
+   are [run]'s level drain with the dirty set as the receive mask;
+   phase 2 pulls each dirty target's lateral candidates.  The result is
    provably identical to a full [run] on the new topology (see
    doc/dynamics.md for the closure argument; test_dynamics checks it
    on random single-link failures and flap restores).
@@ -1097,7 +619,9 @@ let c_reconverge_dirty = Netsim_obs.Metrics.counter "bgp.reconverge_dirty_ases"
      goes through [p] (the recorded [parent] back-pointers);
    - addition can {e improve} customer/peer candidates, so an improved
      export from [p] can be adopted by {e any} provider/peer neighbor
-     of [p];
+     of [p].  So can the removal of a NO_EXPORT customer seed, which
+     can let its AS export for the first time: that removal closes by
+     the addition rule;
    - in both directions a dirty entry of [p] can flip [p]'s overall
      selection between route classes, which changes the length of the
      route [p] exports downhill in either direction — so every
@@ -1122,6 +646,8 @@ let reconverge ?provenance s ~topo delta =
   let n = Topology.as_count topo in
   if n <> Topology.as_count s.topo then
     invalid_arg "Propagate.reconverge: AS count changed";
+  (* Only dirty ASes' rows are walked, so the full arena serves (see
+     [receivers]). *)
   let off = Topology.csr_offsets topo and wrd = Topology.csr_words topo in
   let origin = s.config.Announce.origin in
   let config = s.config in
@@ -1137,30 +663,22 @@ let reconverge ?provenance s ~topo delta =
     end
   in
   let mark_c = mark dc 0 and mark_p = mark dp 1 and mark_v = mark dv 2 in
-  (* Reverse dependency index over the old state (removals follow the
-     recorded parent pointers; additions walk the live adjacency). *)
-  let cust_children = Array.make n [] and peer_children = Array.make n [] in
-  (match delta with
-  | Link_removed _ ->
-      for x = n - 1 downto 0 do
-        let e = s.cust.(x) in
-        if e >= 0 && e_parent e <> origin then
-          cust_children.(e_parent e) <- x :: cust_children.(e_parent e);
-        let e = s.peer.(x) in
-        if e >= 0 && e_parent e <> origin then
-          peer_children.(e_parent e) <- x :: peer_children.(e_parent e)
-      done
-  | Link_added _ -> ());
   (* Base dirty set: entries riding the removed link, or the potential
      first adopters of the added one. *)
+  let improving = ref false in
   (match delta with
   | Link_removed l ->
       for x = 0 to n - 1 do
-        if s.cust.(x) >= 0 && e_link s.cust.(x) = l then mark_c x;
+        let e = s.cust.(x) in
+        if e >= 0 && e_link e = l then begin
+          mark_c x;
+          if e_ne e then improving := true
+        end;
         if s.peer.(x) >= 0 && e_link s.peer.(x) = l then mark_p x;
         if s.prov.(x) >= 0 && e_link s.prov.(x) = l then mark_v x
       done
   | Link_added l -> (
+      improving := true;
       let link =
         match
           Array.find_opt
@@ -1179,31 +697,39 @@ let reconverge ?provenance s ~topo delta =
       | Relation.Peer_private | Relation.Peer_public ->
           mark_p link.Relation.a;
           mark_p link.Relation.b));
-  let improving = match delta with Link_added _ -> true | Link_removed _ -> false in
+  (* Reverse dependency index over the old state, for the worsening
+     closure (the improving one walks the live adjacency). *)
+  let cust_children = Array.make n [] and peer_children = Array.make n [] in
+  if not !improving then
+    for x = n - 1 downto 0 do
+      let e = s.cust.(x) in
+      if e >= 0 && e_parent e <> origin then
+        cust_children.(e_parent e) <- x :: cust_children.(e_parent e);
+      let e = s.peer.(x) in
+      if e >= 0 && e_parent e <> origin then
+        peer_children.(e_parent e) <- x :: peer_children.(e_parent e)
+    done;
   while not (Queue.is_empty queue) do
     let packed = Queue.pop queue in
     let tag = packed land 3 and p = packed lsr 2 in
-    if tag = 0 then
-      if improving then
-        for i = off.(p) to off.(p + 1) - 1 do
-          let pn = wrd.(i) in
-          match Topology.pn_rel pn with
-          | Relation.To_provider -> mark_c (Topology.pn_peer pn)
-          | Relation.Priv_peer | Relation.Pub_peer ->
-              mark_p (Topology.pn_peer pn)
-          | Relation.To_customer -> ()
-        done
-      else begin
-        List.iter mark_c cust_children.(p);
-        List.iter mark_p peer_children.(p)
-      end;
-    (* Any dirty class can flip p's selection, changing what it
-       exports to its customers. *)
+    (* A dirty customer entry of p spreads along p's exports: to the
+       ASes whose entries go through p, or by the improving rule to
+       every provider and peer of p. *)
+    let spread = tag = 0 && !improving in
+    if tag = 0 && not !improving then begin
+      List.iter mark_c cust_children.(p);
+      List.iter mark_p peer_children.(p)
+    end;
     for i = off.(p) to off.(p + 1) - 1 do
       let pn = wrd.(i) in
       match Topology.pn_rel pn with
-      | Relation.To_customer -> mark_v (Topology.pn_peer pn)
-      | Relation.To_provider | Relation.Priv_peer | Relation.Pub_peer -> ()
+      | Relation.To_provider -> if spread then mark_c (Topology.pn_peer pn)
+      | Relation.Priv_peer | Relation.Pub_peer ->
+          if spread then mark_p (Topology.pn_peer pn)
+      | Relation.To_customer ->
+          (* Any dirty class can flip p's selection, changing what it
+             exports to its customers. *)
+          mark_v (Topology.pn_peer pn)
     done
   done;
   (* Clear the dirty entries; everything else is final and acts as the
@@ -1226,51 +752,40 @@ let reconverge ?provenance s ~topo delta =
       Stdlib.incr nd_v
     end
   done;
+  (* Restricted drains: one origin, exports only to dirty ASes, no
+     counters (reconvergence reports its own). *)
+  let origins = [| origin |] in
+  let push_seeds q ~klass dirty =
+    List.iter
+      (fun (target, len, (_ : int), (link : Relation.link), ne) ->
+        if dirty.(target) then
+          levels_push q ~len ~org:0
+            (q_pack ~parent:origin ~link:link.Relation.id ~target ~ne))
+      (seeds topo config ~klass)
+  in
+  (* Boundary candidate from clean neighbour [y]'s entry [e] into
+     dirty [t]. *)
+  let push_from q e ~y ~pn ~t =
+    if e >= 0 && not (e_ne e) then
+      levels_push q ~len:(e_len e + 1) ~org:0
+        (q_pack ~parent:y ~link:(Topology.pn_link pn) ~target:t ~ne:false)
+  in
   (* ---- Phase 1 (restricted): customer-learned routes. ---- *)
-  let q = dial_create () in
-  List.iter
-    (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-      if dc.(target) then
-        dial_push q ~len
-          (q_pack ~parent:origin ~link:link.Relation.id ~target ~ne))
-    (seeds topo config ~klass:Route.Customer);
+  let q = levels_create 1 in
+  push_seeds q ~klass:Route.Customer dc;
   for t = 0 to n - 1 do
-    if dc.(t) then begin
+    if dc.(t) then
       for i = off.(t) to off.(t + 1) - 1 do
         let pn = wrd.(i) in
-        match Topology.pn_rel pn with
-        | Relation.To_customer ->
-            let y = Topology.pn_peer pn in
-            if not dc.(y) then begin
-              let e = cust.(y) in
-              if e >= 0 && not (e_ne e) then
-                dial_push q ~len:(e_len e + 1)
-                  (q_pack ~parent:y ~link:(Topology.pn_link pn) ~target:t
-                     ~ne:false)
-            end
-        | Relation.To_provider | Relation.Priv_peer | Relation.Pub_peer -> ()
+        let y = Topology.pn_peer pn in
+        if Topology.pn_rel pn == Relation.To_customer && not dc.(y) then
+          push_from q cust.(y) ~y ~pn ~t
       done
-    end
   done;
-  dial_drain q (fun ~len v ->
-      let target = q_target v in
-      if target <> origin && dc.(target) && cust.(target) < 0 then begin
-        cust.(target) <-
-          e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v);
-        if not (q_ne v) then
-          for i = off.(target) to off.(target + 1) - 1 do
-            let pn = wrd.(i) in
-            match Topology.pn_rel pn with
-            | Relation.To_provider ->
-                let up = Topology.pn_peer pn in
-                if up <> origin && dc.(up) then
-                  dial_push q ~len:(len + 1)
-                    (q_pack ~parent:target ~link:(Topology.pn_link pn)
-                       ~target:up ~ne:false)
-            | Relation.To_customer | Relation.Priv_peer | Relation.Pub_peer ->
-                ()
-          done
-      end);
+  drain q ~k:1 ~origins ~table:cust ~seg_off:off ~seg_words:wrd
+    ~exports:(fun t -> not (e_ne cust.(t)))
+    ~recv:(Dirty (dc, Relation.To_provider))
+    ~tracing:false ~pvas:[||] ~cls:0;
   (* ---- Phase 2 (restricted): peer-learned routes, pulled per dirty
      target over its full lateral candidate set. ---- *)
   let peer_seeds = seeds topo config ~klass:Route.Peer in
@@ -1303,57 +818,24 @@ let reconverge ?provenance s ~topo delta =
     end
   done;
   (* ---- Phase 3 (restricted): provider-learned routes. ---- *)
-  let q = dial_create () in
-  List.iter
-    (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-      if dv.(target) then
-        dial_push q ~len
-          (q_pack ~parent:origin ~link:link.Relation.id ~target ~ne))
-    (seeds topo config ~klass:Route.Provider);
+  let q = levels_create 1 in
+  push_seeds q ~klass:Route.Provider dv;
   for t = 0 to n - 1 do
-    if dv.(t) then begin
+    if dv.(t) then
       for i = off.(t) to off.(t + 1) - 1 do
         let pn = wrd.(i) in
-        match Topology.pn_rel pn with
-        | Relation.To_provider ->
-            let y = Topology.pn_peer pn in
-            let e = if cust.(y) >= 0 then cust.(y) else peer.(y) in
-            if e >= 0 then begin
-              if not (e_ne e) then
-                dial_push q ~len:(e_len e + 1)
-                  (q_pack ~parent:y ~link:(Topology.pn_link pn) ~target:t
-                     ~ne:false)
-            end
-            else if not dv.(y) then begin
-              let e = prov.(y) in
-              if e >= 0 && not (e_ne e) then
-                dial_push q ~len:(e_len e + 1)
-                  (q_pack ~parent:y ~link:(Topology.pn_link pn) ~target:t
-                     ~ne:false)
-            end
-        | Relation.To_customer | Relation.Priv_peer | Relation.Pub_peer -> ()
+        if Topology.pn_rel pn == Relation.To_provider then begin
+          let y = Topology.pn_peer pn in
+          let e = if cust.(y) >= 0 then cust.(y) else peer.(y) in
+          if e >= 0 then push_from q e ~y ~pn ~t
+          else if not dv.(y) then push_from q prov.(y) ~y ~pn ~t
+        end
       done
-    end
   done;
-  dial_drain q (fun ~len v ->
-      let target = q_target v in
-      if target <> origin && dv.(target) && prov.(target) < 0 then begin
-        prov.(target) <-
-          e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v);
-        if cust.(target) < 0 && peer.(target) < 0 && not (q_ne v) then
-          for i = off.(target) to off.(target + 1) - 1 do
-            let pn = wrd.(i) in
-            match Topology.pn_rel pn with
-            | Relation.To_customer ->
-                let down = Topology.pn_peer pn in
-                if down <> origin && dv.(down) then
-                  dial_push q ~len:(len + 1)
-                    (q_pack ~parent:target ~link:(Topology.pn_link pn)
-                       ~target:down ~ne:false)
-            | Relation.To_provider | Relation.Priv_peer | Relation.Pub_peer ->
-                ()
-          done
-      end);
+  drain q ~k:1 ~origins ~table:prov ~seg_off:off ~seg_words:wrd
+    ~exports:(fun t -> cust.(t) < 0 && peer.(t) < 0 && not (e_ne prov.(t)))
+    ~recv:(Dirty (dv, Relation.To_customer))
+    ~tracing:false ~pvas:[||] ~cls:2;
   let stats =
     {
       rs_dirty_cust = !nd_c;
@@ -1590,8 +1072,7 @@ let decision s x =
               d_cand_peer = Provenance.candidates pva ~cls:1 x;
               d_cand_prov = Provenance.candidates pva ~cls:2 x;
               d_rule =
-                pv_rule pva ~cust:s.cust ~peer:s.peer ~prov:s.prov ~cls ~winner
-                  x;
+                pv_rule pva ~peer:s.peer ~prov:s.prov ~cls ~winner x;
               d_runner = runner;
             }
         end

@@ -15,9 +15,13 @@
 type state
 
 val run : ?provenance:bool -> Netsim_topo.Topology.t -> Announce.t -> state
-(** Compute routes from every AS to the configured origin.  The core
-    runs on a monotone bucket (Dial) queue over bit-packed flat
-    arrays; see doc/performance.md.
+(** Compute routes from every AS to the configured origin: the
+    propagation kernel of {!run_batch} at one origin, inside the
+    [bgp.propagate] span.  The kernel drains a monotone per-length
+    level queue over bit-packed flat arrays, settling each AS by its
+    minimum candidate, and exports over the topology's memoised
+    class-partitioned adjacency ({!Netsim_topo.Topology.partition});
+    see doc/performance.md.
 
     With [~provenance:true] (default:
     [Netsim_obs.Provenance.enabled ()]) the run additionally records,
@@ -28,20 +32,15 @@ val run : ?provenance:bool -> Netsim_topo.Topology.t -> Announce.t -> state
 val run_batch :
   ?provenance:bool -> Netsim_topo.Topology.t -> Announce.t array -> state array
 (** [run_batch topo configs] propagates every config's prefix in one
-    shared frontier sweep and returns one state per config, in order.
-    Each state is {!equal} (and, with provenance on, arena-equal) to
-    an independent {!run} of its config — the differential property in
-    [test/test_scale.ml] — but the topology scans, the link index and
-    the class-partitioned adjacency are amortized across the batch, so
-    at Internet scale a batch of origins runs several times faster
-    than the same origins run one by one (see [bench/micro_scale.ml]).
+    shared frontier sweep and returns one state per config, in order,
+    inside the [bgp.propagate_batch] span (bumping
+    [bgp.propagate_batches] and [bgp.propagate_batch_origins]).  It is
+    the same kernel as {!run}: origins never interact, so each state is
+    {!equal} (and, with provenance on, arena-equal) to an independent
+    {!run} of its config — the differential property in
+    [test/test_scale.ml] — while the topology scans and the link index
+    are shared across the batch (see [bench/micro_scale.ml]).
     Duplicate origins are allowed and computed independently. *)
-
-val run_reference : Netsim_topo.Topology.t -> Announce.t -> state
-(** The original [Set]-based implementation, kept as the oracle for
-    the differential property tests and benchmarks.  Produces results
-    [equal] to {!run} — bit-identical routing entries — at a higher
-    cost. *)
 
 val equal : state -> state -> bool
 (** Same origin and identical per-AS routing entries in all three
@@ -53,9 +52,10 @@ val equal : state -> state -> bool
     failures, repairs).  [reconverge] updates an existing state for
     such a delta by re-running propagation only over the {e dirty} ASes
     — those whose routes can possibly change — seeded from the
-    untouched boundary.  Equivalent to a full [run] on the new
-    topology, typically an order of magnitude cheaper for a single
-    link event (see [bench/micro_dynamics.ml]). *)
+    untouched boundary, with the kernel's level drain restricted to
+    the dirty set.  Equivalent to a full [run] on the new topology,
+    typically much cheaper for a single link event (see
+    [bench/micro_dynamics.ml]). *)
 
 type delta =
   | Link_removed of int
@@ -84,7 +84,9 @@ val reconverge :
   state * reconverge_stats
 (** [reconverge s ~topo delta] is the routing state on [topo], where
     [topo] differs from [s]'s topology by exactly [delta].  The input
-    state is not modified.  @raise Invalid_argument if the AS count
+    state is not modified.  Phases 1 and 3 run {!run}'s level drain
+    with exports restricted to the dirty ASes; phase 2 pulls each
+    dirty AS's lateral candidates.  @raise Invalid_argument if the AS count
     changed or an added link id is absent from [topo].
 
     Provenance (requested explicitly, inherited from [s], or via the
@@ -121,8 +123,12 @@ val of_rib_arrays :
   prov:int array ->
   state
 (** Rebuild a state from snapshotted tables.  The arrays are copied.
-    Every present entry must reference a link that exists in [topo]
-    and a parent AS in range.  @raise Invalid_argument otherwise. *)
+    Every present entry must sit off the origin and reference a link
+    of [topo] that joins the AS to its parent with the relation of the
+    entry's class, and must be longer than the parent entry that
+    {!as_path} follows (unless the parent is the origin), so path walks
+    over the result always terminate.  @raise Invalid_argument
+    otherwise. *)
 
 val best : state -> int -> Route.t option
 (** The selected best route of an AS ([None] for the origin itself and

@@ -13,6 +13,15 @@ type adj_cell = {
   build : unit -> neighbor list array;
 }
 
+type partition = {
+  up_off : int array;
+  up_words : int array;
+  lat_off : int array;
+  lat_words : int array;
+  down_off : int array;
+  down_words : int array;
+}
+
 type t = {
   gen : int;
   ases : Asn.t array;
@@ -24,6 +33,11 @@ type t = {
      loops on one contiguous allocation that domains share read-only. *)
   csr_off : int array;
   csr_words : int array;
+  (* The arena split by relation class, built from it on first use
+     and memoised in a CAS cell like [adj]'s.  Every constructor
+     starts an empty cell: a copied one would describe another link
+     set. *)
+  part : partition option Atomic.t;
 }
 
 let eager_adj adj = { memo = Atomic.make (Some adj); build = (fun () -> adj) }
@@ -88,6 +102,50 @@ let csr_of_adj adj =
       adj.(i)
   done;
   (off, words)
+
+(* One O(n+m) pass pair: count each row's words per class, then copy
+   them in row order. *)
+let build_partition (off : int array) (wrd : int array) =
+  let n = Array.length off - 1 in
+  let up_off = Array.make (n + 1) 0
+  and lat_off = Array.make (n + 1) 0
+  and down_off = Array.make (n + 1) 0 in
+  for x = 0 to n - 1 do
+    for i = off.(x) to off.(x + 1) - 1 do
+      let o =
+        match pn_rel wrd.(i) with
+        | Relation.To_provider -> up_off
+        | Relation.Priv_peer | Relation.Pub_peer -> lat_off
+        | Relation.To_customer -> down_off
+      in
+      o.(x + 1) <- o.(x + 1) + 1
+    done
+  done;
+  for x = 0 to n - 1 do
+    up_off.(x + 1) <- up_off.(x + 1) + up_off.(x);
+    lat_off.(x + 1) <- lat_off.(x + 1) + lat_off.(x);
+    down_off.(x + 1) <- down_off.(x + 1) + down_off.(x)
+  done;
+  let up_words = Array.make up_off.(n) 0
+  and lat_words = Array.make lat_off.(n) 0
+  and down_words = Array.make down_off.(n) 0 in
+  for x = 0 to n - 1 do
+    let u = ref up_off.(x) and l = ref lat_off.(x) and d = ref down_off.(x) in
+    for i = off.(x) to off.(x + 1) - 1 do
+      let pn = wrd.(i) in
+      match pn_rel pn with
+      | Relation.To_provider ->
+          up_words.(!u) <- pn;
+          incr u
+      | Relation.Priv_peer | Relation.Pub_peer ->
+          lat_words.(!l) <- pn;
+          incr l
+      | Relation.To_customer ->
+          down_words.(!d) <- pn;
+          incr d
+    done
+  done;
+  { up_off; up_words; lat_off; lat_words; down_off; down_words }
 
 let build_adjacency n links =
   let adj = Array.make n [] in
@@ -174,7 +232,15 @@ let make ases link_list =
   check_packing_limits n links;
   let adj = build_adjacency n links in
   let csr_off, csr_words = csr_of_adj adj in
-  { gen = next_gen (); ases; links; adj = eager_adj adj; csr_off; csr_words }
+  {
+    gen = next_gen ();
+    ases;
+    links;
+    adj = eager_adj adj;
+    csr_off;
+    csr_words;
+    part = Atomic.make None;
+  }
 
 let of_csr ~ases ~links ~csr_off ~csr_words =
   let n = Array.length ases in
@@ -215,6 +281,7 @@ let of_csr ~ases ~links ~csr_off ~csr_words =
     adj = { memo = Atomic.make None; build };
     csr_off;
     csr_words;
+    part = Atomic.make None;
   }
 
 let as_count t = Array.length t.ases
@@ -226,6 +293,14 @@ let links t = t.links
 let neighbors t i = (force_adj t).(i)
 let csr_offsets t = t.csr_off
 let csr_words t = t.csr_words
+
+let partition t =
+  match Atomic.get t.part with
+  | Some p -> p
+  | None ->
+      let p = build_partition t.csr_off t.csr_words in
+      if Atomic.compare_and_set t.part None (Some p) then p
+      else (match Atomic.get t.part with Some winner -> winner | None -> p)
 
 let filter_rel t i want =
   List.filter_map
@@ -265,6 +340,7 @@ let add_as t ~klass ~name ~footprint =
          word arena. *)
       csr_off = Array.append t.csr_off [| t.csr_off.(Array.length t.csr_off - 1) |];
       csr_words = t.csr_words;
+      part = Atomic.make None;
     },
     id )
 
@@ -286,7 +362,15 @@ let add_links t specs =
   check_packing_limits n links;
   let adj = build_adjacency n links in
   let csr_off, csr_words = csr_of_adj adj in
-  { t with gen = next_gen (); links; adj = eager_adj adj; csr_off; csr_words }
+  {
+    t with
+    gen = next_gen ();
+    links;
+    adj = eager_adj adj;
+    csr_off;
+    csr_words;
+    part = Atomic.make None;
+  }
 
 let remove_links t ids =
   let module S = Set.Make (Int) in
@@ -309,7 +393,15 @@ let remove_links t ids =
   (* The CSR arena is contiguous, so it is rebuilt wholesale — O(n+m),
      the same order as the links-array filter above. *)
   let csr_off, csr_words = csr_of_adj adj in
-  { t with gen = next_gen (); links; adj = eager_adj adj; csr_off; csr_words }
+  {
+    t with
+    gen = next_gen ();
+    links;
+    adj = eager_adj adj;
+    csr_off;
+    csr_words;
+    part = Atomic.make None;
+  }
 
 let remove_links_of_as t asid =
   let ids =

@@ -68,6 +68,28 @@ val pn_link : int -> int
 
 val pn_rel : int -> Relation.rel
 
+(** The CSR arena split by relation class: per AS, only its
+    [To_provider], peer ([Priv_peer]/[Pub_peer]) and [To_customer]
+    words, each segment in row order and indexed like {!csr_offsets}
+    ([up_words.(up_off.(x)) .. up_words.(up_off.(x+1) - 1)] and so
+    on).  Lets propagation export to one relation class without
+    decoding every word of a row.  Shared read-only, like the arena. *)
+type partition = {
+  up_off : int array;
+  up_words : int array;
+  lat_off : int array;
+  lat_words : int array;
+  down_off : int array;
+  down_words : int array;
+}
+
+val partition : t -> partition
+(** The class-partitioned arena, built in O(n+m) on first use and
+    memoised on the topology value, like the {!neighbors} rows of
+    {!of_csr} (domain-safe: racing builders compute equal arrays and
+    one result wins).  Every constructor, {!remove_links} included,
+    returns a value with no partition built yet. *)
+
 val of_csr :
   ases:Asn.t array ->
   links:Relation.link array ->

@@ -638,6 +638,66 @@ let test_received_routes_are_exportable () =
         (Propagate.received s x)
   done
 
+(* ---- RIB table validation ---- *)
+
+(* The packed entry layout of [Propagate.rib_arrays]. *)
+let pack ~len ~parent ~link = (len lsl 42) lor (parent lsl 22) lor (link lsl 1)
+
+let rejects f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+(* AS 0 is a customer of AS 1; ASes 1 and 2 are each other's customer
+   over two links, so a customer-class cycle between them is
+   relation-consistent and only the path lengths can expose it. *)
+let test_of_rib_arrays_rejects_cycle () =
+  let ases = Array.init 3 (fun i -> mk_as i Asn.Transit "X" [| ny |]) in
+  let topo =
+    Topology.make ases
+      [
+        mk_link 0 0 1 Relation.C2p ny;
+        mk_link 1 1 2 Relation.C2p ny;
+        mk_link 2 2 1 Relation.C2p ny;
+      ]
+  in
+  let config = Announce.default ~origin:0 in
+  let load cust =
+    Propagate.of_rib_arrays ~topo ~config ~cust ~peer:(Array.make 3 (-1))
+      ~prov:(Array.make 3 (-1))
+  in
+  let valid =
+    load [| -1; pack ~len:1 ~parent:0 ~link:0; pack ~len:2 ~parent:1 ~link:1 |]
+  in
+  Alcotest.(check (list int)) "valid table loads" [ 1; 0 ]
+    (Propagate.as_path valid 2);
+  Alcotest.(check bool) "two-AS cycle rejected" true
+    (rejects (fun () ->
+         load
+           [| -1; pack ~len:2 ~parent:2 ~link:2; pack ~len:2 ~parent:1 ~link:1 |]))
+
+let test_of_rib_arrays_rejects_foreign_link () =
+  let t, s = state_to_cp () in
+  let cust, peer, prov = Propagate.rib_arrays s in
+  let config = Announce.default ~origin:cp in
+  let load prov = Propagate.of_rib_arrays ~topo:t ~config ~cust ~peer ~prov in
+  ignore (load prov);
+  (* ST learns CP from its provider EB; l_eb_tr exists but does not
+     join ST to EB. *)
+  let e = prov.(st) in
+  Alcotest.(check bool) "ST has a provider route via EB" true
+    (e >= 0 && (e lsr 22) land 0xF_FFFF = eb);
+  let bad = Array.copy prov in
+  bad.(st) <- pack ~len:(e lsr 42) ~parent:eb ~link:l_eb_tr;
+  Alcotest.(check bool) "link not joining the AS to its parent rejected" true
+    (rejects (fun () -> load bad));
+  (* TR's provider route is relation-checked: l_eb_tr joins TR and EB,
+     but EB is TR's customer, not its provider. *)
+  let bad = Array.copy prov in
+  bad.(tr) <- pack ~len:3 ~parent:eb ~link:l_eb_tr;
+  Alcotest.(check bool) "wrong relation rejected" true
+    (rejects (fun () -> load bad))
+
 let suite =
   [
     Alcotest.test_case "announce default" `Quick test_announce_default;
@@ -693,4 +753,8 @@ let suite =
     Alcotest.test_case "generated valley-free" `Slow test_generated_paths_valley_free;
     Alcotest.test_case "generated loop-free" `Quick test_generated_paths_loop_free;
     Alcotest.test_case "received exportable" `Quick test_received_routes_are_exportable;
+    Alcotest.test_case "of_rib_arrays rejects a cycle" `Quick
+      test_of_rib_arrays_rejects_cycle;
+    Alcotest.test_case "of_rib_arrays rejects a foreign link" `Quick
+      test_of_rib_arrays_rejects_foreign_link;
   ]

@@ -266,27 +266,33 @@ let prop_timeline_pop_sorted =
       in
       popped = expected)
 
+(* Remove link [l] and restore it, reconverging incrementally each
+   way: both results must equal a full run, entry for entry. *)
+let reconverge_round_trip topo config l =
+  let state = Propagate.run topo config in
+  let failed = Topology.remove_links topo [ l ] in
+  let full = Propagate.run failed config in
+  let incr_down, _ =
+    Propagate.reconverge state ~topo:failed (Propagate.Link_removed l)
+  in
+  let restored, _ =
+    Propagate.reconverge incr_down ~topo (Propagate.Link_added l)
+  in
+  Propagate.equal full incr_down
+  && Propagate.equal state restored
+  && Test_util.digest failed full = Test_util.digest failed incr_down
+  && Test_util.digest topo state = Test_util.digest topo restored
+
 let prop_reconverge_equals_full =
   QCheck.Test.make
     ~name:"incremental reconvergence equals full run on random link deltas"
     ~count:20
-    (QCheck.pair seed_gen (QCheck.int_range 0 10_000))
-    (fun (seed, lseed) ->
+    QCheck.(triple seed_gen (int_range 0 10_000) (int_range 0 1000))
+    (fun (seed, lseed, cseed) ->
       let topo = random_topo seed in
       let origin = pick_origin topo seed in
-      let config = Announce.default ~origin in
-      let state = Propagate.run topo config in
       let l = lseed mod Topology.link_count topo in
-      let failed = Topology.remove_links topo [ l ] in
-      let full = Propagate.run failed config in
-      let incr_down, _ =
-        Propagate.reconverge state ~topo:failed (Propagate.Link_removed l)
-      in
-      let restored, _ =
-        Propagate.reconverge incr_down ~topo (Propagate.Link_added l)
-      in
-      Test_util.digest failed full = Test_util.digest failed incr_down
-      && Test_util.digest topo state = Test_util.digest topo restored)
+      reconverge_round_trip topo (Test_util.announce_shape topo origin cseed) l)
 
 let prop_optimized_equals_reference =
   QCheck.Test.make
@@ -298,28 +304,9 @@ let prop_optimized_equals_reference =
     (fun (seed, cseed) ->
       let topo = random_topo seed in
       let origin = pick_origin topo seed in
-      (* Vary the announcement shape across runs: plain anycast,
-         random withholding, prepending. *)
-      let config =
-        let base = Announce.default ~origin in
-        match cseed mod 3 with
-        | 0 -> base
-        | 1 ->
-            let wrng = Sm.create cseed in
-            Topology.neighbors topo origin
-            |> List.filter_map (fun (nb : Topology.neighbor) ->
-                   if Netsim_prng.Dist.bernoulli wrng ~p:0.3 then
-                     Some nb.Topology.link.Relation.id
-                   else None)
-            |> Announce.withhold_links base
-        | _ ->
-            let metros =
-              (Topology.asn topo origin).Asn.footprint |> Array.to_list
-            in
-            Announce.prepend_at_metros base metros (1 + (cseed mod 4))
-      in
+      let config = Test_util.announce_shape topo origin cseed in
       let opt = Propagate.run topo config in
-      let reference = Propagate.run_reference topo config in
+      let reference = Oracle.run topo config in
       let co = Catchment.compute opt and cr = Catchment.compute reference in
       Propagate.equal opt reference
       && Catchment.coverage co = Catchment.coverage cr
@@ -327,6 +314,23 @@ let prop_optimized_equals_reference =
       && List.for_all
            (fun m -> Catchment.clients_of_site co m = Catchment.clients_of_site cr m)
            (Catchment.sites co))
+
+(* Removing the origin link that carries an AS's NO_EXPORT seed lets
+   that AS export a route it learns elsewhere, which can improve its
+   neighbours' routes: the removal must close over the live adjacency,
+   not only over the old routes' parent pointers. *)
+let test_reconverge_no_export_removal () =
+  List.iter
+    (fun (seed, l) ->
+      let topo = random_topo seed in
+      let origin = pick_origin topo seed in
+      (* Shape 3: NO_EXPORT at the origin's first footprint metro. *)
+      let config = Test_util.announce_shape topo origin 3 in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, link %d" seed l)
+        true
+        (reconverge_round_trip topo config l))
+    [ (2, 147); (33, 88); (59, 215) ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -344,4 +348,8 @@ let suite =
       prop_timeline_pop_sorted;
       prop_reconverge_equals_full;
       prop_optimized_equals_reference;
+    ]
+  @ [
+      Alcotest.test_case "reconverge: removing a NO_EXPORT seed" `Quick
+        test_reconverge_no_export_removal;
     ]

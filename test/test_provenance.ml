@@ -234,6 +234,25 @@ let prop_reconverge_provenance_equals_full =
       && Propagate.provenance_equal incr full
       && Propagate.provenance_equal restored state)
 
+(* The arena checked against an oracle that shares nothing with the
+   kernel: every candidate the final neighbour entries imply, counted
+   and ranked per class. *)
+let prop_decisions_match_oracle =
+  QCheck.Test.make
+    ~name:"decisions equal the candidate-enumeration oracle" ~count:30
+    (QCheck.pair seed_gen (QCheck.int_range 0 1000))
+    (fun (seed, cseed) ->
+      let topo = random_topo seed in
+      let config =
+        Test_util.announce_shape topo (pick_origin topo seed) cseed
+      in
+      let s = Propagate.run ~provenance:true topo config in
+      let ok = ref true in
+      for x = 0 to Topology.as_count topo - 1 do
+        if Propagate.decision s x <> Oracle.decision s x then ok := false
+      done;
+      !ok)
+
 let prop_domain_count_invariant =
   QCheck.Test.make
     ~name:"provenance identical for 1 and 4 domains (pooled fan-out)"
@@ -278,4 +297,5 @@ let suite =
         prop_cache_transparent;
         prop_reconverge_provenance_equals_full;
         prop_domain_count_invariant;
+        prop_decisions_match_oracle;
       ]

@@ -143,8 +143,35 @@ let prop_batch_provenance_through_cache =
 
 (* ---- topology generator totality -------------------------------------- *)
 
+(* Each class segment of the partition must be its rows' CSR words of
+   that class, in row order. *)
+let partition_consistent topo =
+  let n = Topology.as_count topo in
+  let off = Topology.csr_offsets topo and wrd = Topology.csr_words topo in
+  let p = Topology.partition topo in
+  let row seg_off (seg_w : int array) x =
+    Array.to_list (Array.sub seg_w seg_off.(x) (seg_off.(x + 1) - seg_off.(x)))
+  in
+  let ok = ref true in
+  for x = 0 to n - 1 do
+    let words = Array.to_list (Array.sub wrd off.(x) (off.(x + 1) - off.(x))) in
+    let only f = List.filter (fun pn -> f (Topology.pn_rel pn)) words in
+    if
+      row p.Topology.up_off p.Topology.up_words x
+      <> only (fun r -> r = Relation.To_provider)
+      || row p.Topology.lat_off p.Topology.lat_words x
+         <> only (function
+              | Relation.Priv_peer | Relation.Pub_peer -> true
+              | Relation.To_customer | Relation.To_provider -> false)
+      || row p.Topology.down_off p.Topology.down_words x
+         <> only (fun r -> r = Relation.To_customer)
+    then ok := false
+  done;
+  !ok
+
 (* The CSR arena must agree with the list-based adjacency in content
-   and order, with offsets that tile the word array exactly. *)
+   and order, with offsets that tile the word array exactly, and the
+   class partition must agree with the arena. *)
 let csr_consistent topo =
   let n = Topology.as_count topo in
   let off = Topology.csr_offsets topo and wrd = Topology.csr_words topo in
@@ -169,7 +196,24 @@ let csr_consistent topo =
           then ok := false)
         nbs
   done;
-  !ok
+  !ok && partition_consistent topo
+
+(* A [remove_links] result must not inherit its parent's partition:
+   the one it builds has to agree with its own arena, whether or not
+   the parent's was built first. *)
+let prop_removed_links_partition =
+  QCheck.Test.make ~name:"remove_links keeps the class partition consistent"
+    ~count:25
+    QCheck.(triple seed_gen (int_range 0 10_000) bool)
+    (fun (seed, lseed, warm) ->
+      let topo = random_topo seed in
+      if warm then ignore (Topology.partition topo);
+      let m = Topology.link_count topo in
+      let failed =
+        Topology.remove_links topo
+          [ lseed mod m; (lseed * 7) mod m; m + 5; -1 ]
+      in
+      csr_consistent failed && csr_consistent topo)
 
 let test_shapes_total () =
   let ok_and_valid shape label =
@@ -275,6 +319,7 @@ let suite =
       prop_batch_through_cache_and_pool;
       prop_batch_provenance_through_cache;
       prop_random_shapes_never_raise;
+      prop_removed_links_partition;
     ]
   @ [
       Alcotest.test_case "degenerate shapes build valid CSR arenas" `Quick

@@ -9,6 +9,7 @@ module Protocol = Netsim_serve.Protocol
 module Snapshot = Netsim_serve.Snapshot
 module Server = Netsim_serve.Server
 module Topology = Netsim_topo.Topology
+module Relation = Netsim_topo.Relation
 module Rib_cache = Netsim_bgp.Rib_cache
 module Engine = Netsim_dynamics.Engine
 
@@ -302,6 +303,45 @@ let test_roundtrip_file () =
 let expect_error what = function
   | Error msg -> check (what ^ " mentions snapshot") true (msg <> "")
   | Ok _ -> Alcotest.failf "%s: decode unexpectedly succeeded" what
+
+(* A provider table in which two ASes name each other as parent would
+   send every path walk through them into an endless loop; loading it
+   must fail up front instead. *)
+let test_of_snapshot_rejects_cyclic_rib () =
+  let snap = Lazy.force small_snapshot in
+  let rib = List.hd snap.Snapshot.ribs in
+  let origin = rib.Snapshot.rib_origin in
+  let link =
+    Array.to_list (Topology.links snap.Snapshot.base)
+    |> List.find (fun (l : Relation.link) ->
+           l.Relation.kind = Relation.C2p
+           && l.Relation.a <> origin
+           && l.Relation.b <> origin
+           && not (List.mem l.Relation.id snap.Snapshot.down_links))
+  in
+  let x = link.Relation.a and y = link.Relation.b in
+  (* The packed entry layout of Propagate.rib_arrays. *)
+  let entry ~parent =
+    (5 lsl 42) lor (parent lsl 22) lor (link.Relation.id lsl 1)
+  in
+  let cust = Array.copy rib.Snapshot.rib_cust
+  and peer = Array.copy rib.Snapshot.rib_peer
+  and prov = Array.copy rib.Snapshot.rib_prov in
+  List.iter
+    (fun a ->
+      cust.(a) <- -1;
+      peer.(a) <- -1)
+    [ x; y ];
+  prov.(x) <- entry ~parent:y;
+  prov.(y) <- entry ~parent:x;
+  let rib =
+    { rib with Snapshot.rib_cust = cust; rib_peer = peer; rib_prov = prov }
+  in
+  let snap = { snap with Snapshot.ribs = rib :: List.tl snap.Snapshot.ribs } in
+  let cfg = { Server.small_config with Server.n_prefixes = 30; churn = true } in
+  match Server.of_snapshot cfg snap with
+  | Error e -> check "error names the routing table" true (e <> "")
+  | Ok _ -> Alcotest.fail "cyclic provider table accepted"
 
 let test_roundtrip_bytes_v2 () =
   let snap = Lazy.force small_snapshot in
@@ -809,6 +849,8 @@ let suite =
       test_rejects_corrupt;
     Alcotest.test_case "snapshot: rejects corrupt v2 input" `Quick
       test_rejects_corrupt_v2;
+    Alcotest.test_case "snapshot: rejects a cyclic routing table" `Quick
+      test_of_snapshot_rejects_cyclic_rib;
     Alcotest.test_case "executor: read-only verb classification" `Quick
       test_read_only;
     Alcotest.test_case "executor: concurrent streams equal served-alone" `Quick

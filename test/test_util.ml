@@ -1,6 +1,7 @@
 (* Helpers shared across test modules: substring matching, a tiny JSON
-   parser (to round-trip the Jsonx emitter), and the routing digest
-   used to compare BGP states.  Keep test-only utilities here instead
+   parser (to round-trip the Jsonx emitter), the routing digest used
+   to compare BGP states, and the announcement shapes the propagation
+   differentials vary over.  Keep test-only utilities here instead
    of re-declaring them per file. *)
 
 module Topology = Netsim_topo.Topology
@@ -42,6 +43,28 @@ let digest topo state =
          | None -> "-"))
   done;
   Buffer.contents buf
+
+(* The announcement shapes the propagation differentials vary over,
+   chosen by [cseed mod 4]: plain anycast, random withholding,
+   prepending, and NO_EXPORT at the origin's first footprint metro. *)
+let announce_shape topo origin cseed =
+  let module Announce = Netsim_bgp.Announce in
+  let base = Announce.default ~origin in
+  let footprint = (Topology.asn topo origin).Netsim_topo.Asn.footprint in
+  match cseed mod 4 with
+  | 0 -> base
+  | 1 ->
+      let wrng = Netsim_prng.Splitmix.create cseed in
+      Topology.neighbors topo origin
+      |> List.filter_map (fun (nb : Topology.neighbor) ->
+             if Netsim_prng.Dist.bernoulli wrng ~p:0.3 then
+               Some nb.Topology.link.Relation.id
+             else None)
+      |> Announce.withhold_links base
+  | 2 ->
+      Announce.prepend_at_metros base (Array.to_list footprint)
+        (1 + (cseed / 4 mod 4))
+  | _ -> Announce.no_export_at_metros base [ footprint.(0) ]
 
 (* ---- a tiny JSON parser (test-only) to round-trip the emitter ---- *)
 
