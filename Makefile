@@ -28,10 +28,11 @@ verify: build test
 	NETSIM_DOMAINS=4 dune exec bin/beatbgp_cli.exe -- robustness --small > /tmp/beatbgp_robustness_d4.out
 	diff -u test/golden/robustness_small.txt /tmp/beatbgp_robustness_d4.out
 	dune exec bench/micro_dynamics.exe -- --check
-	# RIB cache transparency: the whole pipeline must be byte-identical
-	# with the cache enabled vs disabled, serially and with a 4-domain
-	# pool.
+	# RIB cache transparency: the whole pipeline must match its golden
+	# and be byte-identical with the cache enabled vs disabled, serially
+	# and with a 4-domain pool.
 	NETSIM_DOMAINS=1 dune exec bin/beatbgp_cli.exe -- all --small > /tmp/beatbgp_all_d1.out
+	diff -u test/golden/all_small.txt /tmp/beatbgp_all_d1.out
 	NETSIM_DOMAINS=1 dune exec bin/beatbgp_cli.exe -- all --small --no-rib-cache > /tmp/beatbgp_all_d1_nocache.out
 	diff -u /tmp/beatbgp_all_d1.out /tmp/beatbgp_all_d1_nocache.out
 	NETSIM_DOMAINS=4 dune exec bin/beatbgp_cli.exe -- all --small > /tmp/beatbgp_all_d4.out

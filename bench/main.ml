@@ -163,6 +163,20 @@ let micro_tests =
             let _, _, _, _, congestion, flow = Lazy.force micro_state in
             ignore
               (Netsim_latency.Rtt.sample_ms congestion ~rng ~time_min:300. flow)));
+    Test.make ~name:"micro/congestion-entity"
+      (Staged.stage (fun () ->
+           let _, _, _, _, congestion, _ = Lazy.force micro_state in
+           ignore
+             (Netsim_latency.Congestion.entity_delay_ms congestion
+                (Netsim_latency.Congestion.Link 0) ~time_min:300.)));
+    Test.make ~name:"micro/rtt-samples-window"
+      (Staged.stage
+         (let rng = Netsim_prng.Splitmix.create 3 in
+          fun () ->
+            let _, _, _, _, congestion, flow = Lazy.force micro_state in
+            ignore
+              (Netsim_latency.Rtt.samples_ms congestion ~rng ~time_min:300.
+                 ~count:5 flow)));
     Test.make ~name:"micro/received-ribin"
       (Staged.stage (fun () ->
            let _, _, state, src, _, _ = Lazy.force micro_state in

@@ -22,8 +22,7 @@ type window_result = {
 let measure_route cong ~rng ~samples_per_route window (o : Egress.option_route) =
   let time_min = Window.mid_time window in
   let values =
-    Array.init samples_per_route (fun _ ->
-        Rtt.sample_ms cong ~rng ~time_min o.Egress.flow)
+    Rtt.samples_ms cong ~rng ~time_min ~count:samples_per_route o.Egress.flow
   in
   {
     option_route = o;

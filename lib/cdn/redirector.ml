@@ -12,14 +12,12 @@ type table = {
 
 (* Median training RTT of one flow over the training windows. *)
 let flow_median cong ~rng ~windows ~samples_per_window flow =
-  let values =
-    List.concat_map
-      (fun w ->
-        List.init samples_per_window (fun _ ->
-            Rtt.sample_ms cong ~rng ~time_min:(Window.mid_time w) flow))
-      windows
-  in
-  Quantile.median (Array.of_list values)
+  List.map
+    (fun w ->
+      Rtt.samples_ms cong ~rng ~time_min:(Window.mid_time w)
+        ~count:samples_per_window flow)
+    windows
+  |> Array.concat |> Quantile.median
 
 (* Per-prefix training medians for every option; None if unreachable. *)
 let prefix_option_medians any cong ~rng ~windows ~samples_per_window prefix =

@@ -16,14 +16,12 @@ type result = {
 
 (* Median MinRTT of one route option pooled over the whole horizon. *)
 let route_median cong ~rng ~windows ~samples (o : Egress.option_route) =
-  let values =
-    List.concat_map
-      (fun w ->
-        List.init samples (fun _ ->
-            Rtt.sample_ms cong ~rng ~time_min:(Window.mid_time w) o.Egress.flow))
-      windows
-  in
-  Quantile.median (Array.of_list values)
+  List.map
+    (fun w ->
+      Rtt.samples_ms cong ~rng ~time_min:(Window.mid_time w) ~count:samples
+        o.Egress.flow)
+    windows
+  |> Array.concat |> Quantile.median
 
 let clamp lo hi v = Float.max lo (Float.min hi v)
 

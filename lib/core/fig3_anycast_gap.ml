@@ -22,14 +22,12 @@ type per_client = {
 type result = { figure : Figure.t; clients : per_client list }
 
 let flow_median cong ~rng ~windows ~samples flow =
-  let values =
-    List.concat_map
-      (fun w ->
-        List.init samples (fun _ ->
-            Rtt.sample_ms cong ~rng ~time_min:(Window.mid_time w) flow))
-      windows
-  in
-  Quantile.median (Array.of_list values)
+  List.map
+    (fun w ->
+      Rtt.samples_ms cong ~rng ~time_min:(Window.mid_time w) ~count:samples
+        flow)
+    windows
+  |> Array.concat |> Quantile.median
 
 let nearest_sites sites ~city ~k =
   let c = World.cities.(city) in

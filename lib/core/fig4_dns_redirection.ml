@@ -32,12 +32,12 @@ let half_split windows =
   go 0 [] windows
 
 let eval_samples cong ~rng ~windows ~samples flow =
-  List.concat_map
+  List.map
     (fun w ->
-      List.init samples (fun _ ->
-          Rtt.sample_ms cong ~rng ~time_min:(Window.mid_time w) flow))
+      Rtt.samples_ms cong ~rng ~time_min:(Window.mid_time w) ~count:samples
+        flow)
     windows
-  |> Array.of_list
+  |> Array.concat
 
 let clamp lo hi v = Float.max lo (Float.min hi v)
 

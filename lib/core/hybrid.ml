@@ -27,13 +27,12 @@ let eval_margin (ms : Scenario.microsoft) ~rng ~train_windows ~eval_windows
       ~samples_per_window:3
   in
   let samples flow =
-    List.concat_map
+    List.map
       (fun w ->
-        List.init 3 (fun _ ->
-            Rtt.sample_ms ms.Scenario.ms_congestion ~rng
-              ~time_min:(Window.mid_time w) flow))
+        Rtt.samples_ms ms.Scenario.ms_congestion ~rng
+          ~time_min:(Window.mid_time w) ~count:3 flow)
       eval_windows
-    |> Array.of_list
+    |> Array.concat
   in
   let improvements = ref [] in
   Array.iter

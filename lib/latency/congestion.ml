@@ -20,7 +20,6 @@ type t = {
       (** Timeline-driven extra delay per link (ms), maintained by the
           dynamics engine's congestion onset/decay events.  Additive so
           overlapping episodes compose. *)
-  access_base : (int, float) Hashtbl.t;
 }
 
 let create params topo ~seed =
@@ -57,7 +56,6 @@ let create params topo ~seed =
     chronic;
     offered_load = Array.make n_links None;
     event_extra = Array.make n_links 0.;
-    access_base = Hashtbl.create 256;
   }
 
 let params t = t.params
@@ -107,10 +105,13 @@ let queue_delay_ms t ~link_id ~time_min =
   let u = utilization t ~link_id ~time_min in
   t.params.Params.queue_scale_ms *. (u ** 4.) /. (1. -. u)
 
-let entity_key = function
-  | Link i -> Printf.sprintf "link-%d" i
-  | Access i -> Printf.sprintf "access-%d" i
-  | Dest_net i -> Printf.sprintf "destnet-%d" i
+(* The episode substream of [(entity, day)] is labelled
+   "ep-<kind>-<id>-<day>"; the label is hashed in place, not built. *)
+let episode_rng t entity ~day =
+  match entity with
+  | Link i -> Sm.of_label_int2 t.root "ep-link-" i day
+  | Access i -> Sm.of_label_int2 t.root "ep-access-" i day
+  | Dest_net i -> Sm.of_label_int2 t.root "ep-destnet-" i day
 
 let episode_probability t = function
   | Link _ -> t.params.Params.transit_episode_per_day
@@ -124,9 +125,7 @@ let episode_delay_ms t entity ~time_min =
   if p <= 0. then 0.
   else begin
     let day = int_of_float (floor (time_min /. minutes_per_day)) in
-    let rng =
-      Sm.of_label t.root (Printf.sprintf "ep-%s-%d" (entity_key entity) day)
-    in
+    let rng = episode_rng t entity ~day in
     if not (Dist.bernoulli rng ~p) then 0.
     else begin
       let start =
@@ -146,26 +145,20 @@ let episode_delay_ms t entity ~time_min =
     end
   end
 
+(* Re-derived on every call, like episodes: one label hash and one
+   lognormal draw, and no shared table for pool domains to race on. *)
 let access_base_ms t access_id =
-  match Hashtbl.find_opt t.access_base access_id with
-  | Some v -> v
-  | None ->
-      let rng = Sm.of_label t.root (Printf.sprintf "access-base-%d" access_id) in
-      let v =
-        if t.params.Params.access_base_ms <= 0. then 0.
-        else
-          Dist.lognormal rng
-            ~mu:(log t.params.Params.access_base_ms)
-            ~sigma:t.params.Params.access_spread
-      in
-      Hashtbl.replace t.access_base access_id v;
-      v
+  if t.params.Params.access_base_ms <= 0. then 0.
+  else
+    Dist.lognormal
+      (Sm.of_label_int t.root "access-base-" access_id)
+      ~mu:(log t.params.Params.access_base_ms)
+      ~sigma:t.params.Params.access_spread
 
 let access_rate_mbps t access_id =
-  let rng =
-    Sm.of_label t.root (Printf.sprintf "access-rate-%d" access_id)
-  in
-  Dist.lognormal rng ~mu:(log 120.) ~sigma:0.6
+  Dist.lognormal
+    (Sm.of_label_int t.root "access-rate-" access_id)
+    ~mu:(log 120.) ~sigma:0.6
 
 let c_samples = Netsim_obs.Metrics.counter "latency.congestion.samples"
 let c_episodes = Netsim_obs.Metrics.counter "latency.congestion.episodes"

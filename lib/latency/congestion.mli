@@ -13,7 +13,11 @@
     behind the paper's §3.1.1 "all options degrade together"
     observation, and is fully parameterized so ablations can move the
     mix.  Episodes and per-entity draws are deterministic functions of
-    (seed, entity, day); no hidden mutable randomness. *)
+    (seed, entity, day), re-derived on every call; nothing is memoised.
+
+    {b Domains.}  Every read is pure and safe from any domain on a
+    shared [t].  Only the offered-load and event-delay setters write;
+    run them outside parallel reads (the daemon's write barriers). *)
 
 type entity = Link of int | Access of int | Dest_net of int
 
@@ -61,7 +65,8 @@ val episode_delay_ms : t -> entity -> time_min:float -> float
     time, else 0. *)
 
 val access_base_ms : t -> int -> float
-(** Per-access-segment last-mile base delay (stable per prefix). *)
+(** Per-access-segment last-mile base delay (stable per prefix): one
+    label hash and one lognormal draw per call. *)
 
 val access_rate_mbps : t -> int -> float
 (** Per-access-segment last-mile capacity in Mbit/s (stable per
@@ -72,7 +77,8 @@ val access_rate_mbps : t -> int -> float
 
 val entity_delay_ms : t -> entity -> time_min:float -> float
 (** Total stochastic delay of an entity at a time: queueing (links
-    only) plus episode delay. *)
+    only) plus episode delay.  Each call counts once in
+    [latency.congestion.samples] ([.episodes] if one is in force). *)
 
 val diurnal_factor : t -> metro:int -> time_min:float -> float
 (** Local-time load multiplier, mean 1, peaking in the local evening. *)

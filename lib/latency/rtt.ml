@@ -43,30 +43,32 @@ let congestion_ms cong ~time_min flow =
 let c_samples = Netsim_obs.Metrics.counter "latency.rtt.samples"
 let h_rtt = Netsim_obs.Metrics.histogram "latency.rtt.ms"
 
-(* [tracing] is hoisted out of the sampling loops (the convention of
-   [Propagate.run]): one [Metrics.enabled] read per call, a single
-   immutable local guarding the record sites inside the loop. *)
-let sample_traced cong ~tracing ~rng ~time_min flow =
-  let params = Congestion.params cong in
-  let topo = Congestion.topology cong in
-  let base = floor_ms params topo cong flow in
-  let congested = congestion_ms cong ~time_min flow in
-  let sigma = params.Params.minrtt_jitter_sigma in
-  let jitter = if sigma <= 0. then 1. else Dist.lognormal rng ~mu:0. ~sigma in
-  let v = (base +. congested) *. jitter in
-  if tracing then begin
-    Netsim_obs.Metrics.incr c_samples;
-    Netsim_obs.Metrics.observe h_rtt v
-  end;
-  v
+(* Within one window only the jitter varies: the level (floor plus
+   congestion) is computed once, and [level *. jitter] is the same
+   float a per-sample recomputation gives.  An empty or negative
+   [count] evaluates no congestion ([Array.init] rejects negatives). *)
+let samples_ms cong ~rng ~time_min ~count flow =
+  if count <= 0 then Array.init count (fun _ -> 0.)
+  else begin
+    let params = Congestion.params cong in
+    let level =
+      floor_ms params (Congestion.topology cong) cong flow
+      +. congestion_ms cong ~time_min flow
+    in
+    let sigma = params.Params.minrtt_jitter_sigma in
+    let tracing = Netsim_obs.Metrics.enabled () in
+    if tracing then Netsim_obs.Metrics.add c_samples count;
+    Array.init count (fun _ ->
+        let jitter =
+          if sigma <= 0. then 1. else Dist.lognormal rng ~mu:0. ~sigma
+        in
+        let v = level *. jitter in
+        if tracing then Netsim_obs.Metrics.observe h_rtt v;
+        v)
+  end
 
 let sample_ms cong ~rng ~time_min flow =
-  let tracing = Netsim_obs.Metrics.enabled () in
-  sample_traced cong ~tracing ~rng ~time_min flow
+  (samples_ms cong ~rng ~time_min ~count:1 flow).(0)
 
 let median_of_samples cong ~rng ~time_min ~count flow =
-  let tracing = Netsim_obs.Metrics.enabled () in
-  let samples =
-    Array.init count (fun _ -> sample_traced cong ~tracing ~rng ~time_min flow)
-  in
-  Netsim_stats.Quantile.median samples
+  Netsim_stats.Quantile.median (samples_ms cong ~rng ~time_min ~count flow)

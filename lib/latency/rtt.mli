@@ -30,15 +30,28 @@ val floor_ms :
     random components.  The congestion state supplies the per-access
     base draw. *)
 
+val samples_ms :
+  Congestion.t ->
+  rng:Netsim_prng.Splitmix.t ->
+  time_min:float ->
+  count:int ->
+  flow ->
+  float array
+(** [count] MinRTT observations in one window: floor + per-link
+    queueing and episodes + shared access/destination episodes, times
+    one jitter draw from [rng] per sample.  Floor and congestion are
+    computed once per call; values and [rng]'s final state equal
+    [count] successive {!sample_ms} calls bit for bit.  Metrics: one
+    [add] to [latency.rtt.samples], one [latency.rtt.ms] observation
+    per sample. *)
+
 val sample_ms :
   Congestion.t ->
   rng:Netsim_prng.Splitmix.t ->
   time_min:float ->
   flow ->
   float
-(** One MinRTT observation at a point in time: floor + per-link
-    queueing and episodes + shared access/destination episodes +
-    jitter. *)
+(** One MinRTT observation at a point in time: [samples_ms ~count:1]. *)
 
 val median_of_samples :
   Congestion.t ->
@@ -47,5 +60,5 @@ val median_of_samples :
   count:int ->
   flow ->
   float
-(** Median of [count] samples in the same window (jitter varies;
-    congestion state is that of [time_min]). *)
+(** Median of {!samples_ms} (jitter varies; congestion state is that
+    of [time_min]). *)

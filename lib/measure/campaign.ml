@@ -13,12 +13,10 @@ let ping_samples cong ~rng ~days ~per_day ~pings_per_round flow =
   Netsim_obs.Metrics.add c_pings (rounds * pings_per_round);
   Array.init rounds (fun r ->
       let time_min = (float_of_int r +. 0.5) *. interval in
-      let best = ref infinity in
-      for _ = 1 to pings_per_round do
-        let v = Rtt.sample_ms cong ~rng ~time_min flow in
-        if v < !best then best := v
-      done;
-      !best)
+      Array.fold_left
+        (fun best v -> if v < best then v else best)
+        infinity
+        (Rtt.samples_ms cong ~rng ~time_min ~count:pings_per_round flow))
 
 let ping_median cong ~rng ~days ~per_day ~pings_per_round flow =
   let samples = ping_samples cong ~rng ~days ~per_day ~pings_per_round flow in

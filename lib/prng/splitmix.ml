@@ -33,15 +33,39 @@ let split t =
   let seed = next_int64 t in
   { state = mix64 seed }
 
-let hash_string s =
-  (* FNV-1a, 64-bit. *)
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
+(* FNV-1a, 64-bit, continued from [h], so a label hashes in pieces
+   without being built; the non-escaping refs stay unboxed. *)
+let fnv_basis = 0xCBF29CE484222325L
+
+let fnv_byte h c = Int64.mul (Int64.logxor h (Int64.of_int c)) 0x100000001B3L
+
+let fnv_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := fnv_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
-let of_label t label =
-  { state = mix64 (Int64.logxor t.state (hash_string label)) }
+(* The bytes of [string_of_int n], most significant digit first.  The
+   digits come from the non-positive [-|n|], so [min_int] works too. *)
+let fnv_int h n =
+  let h = ref (if n < 0 then fnv_byte h (Char.code '-') else h) in
+  let m = if n < 0 then n else -n in
+  let p = ref 1 in
+  while m / !p <= -10 do
+    p := !p * 10
+  done;
+  while !p > 0 do
+    h := fnv_byte !h (Char.code '0' - ((m / !p) mod 10));
+    p := !p / 10
+  done;
+  !h
+
+let of_hash t h = { state = mix64 (Int64.logxor t.state h) }
+
+let of_label t label = of_hash t (fnv_string fnv_basis label)
+
+let of_label_int t prefix n = of_hash t (fnv_int (fnv_string fnv_basis prefix) n)
+
+let of_label_int2 t prefix a b =
+  of_hash t (fnv_int (fnv_string (fnv_int (fnv_string fnv_basis prefix) a) "-") b)

@@ -35,3 +35,12 @@ val of_label : t -> string -> t
     and a string label, without advancing [t].  Deriving the same label
     twice from the same state yields the same stream; this gives stable
     per-component randomness that does not depend on evaluation order. *)
+
+val of_label_int : t -> string -> int -> t
+(** [of_label_int t prefix n] is [of_label t (prefix ^ string_of_int n)],
+    computed without building the string. *)
+
+val of_label_int2 : t -> string -> int -> int -> t
+(** [of_label_int2 t prefix a b] is
+    [of_label t (prefix ^ string_of_int a ^ "-" ^ string_of_int b)],
+    computed without building the string. *)

@@ -295,6 +295,197 @@ let test_shared_access_fate () =
       in
       Alcotest.(check bool) "episode visible in sample" true (a >= episode)
 
+(* ---- One level per window ---- *)
+
+(* The per-sample formula [samples_ms] replaced: floor and congestion
+   recomputed for every sample, then one jitter draw. *)
+let reference_sample c ~rng ~time_min (flow : Rtt.flow) =
+  let params = Congestion.params c in
+  let base = Rtt.floor_ms params (Congestion.topology c) c flow in
+  let links =
+    List.fold_left
+      (fun acc (h : Walk.hop) ->
+        acc
+        +. Congestion.entity_delay_ms c
+             (Congestion.Link h.Walk.link.Relation.id)
+             ~time_min)
+      0. flow.Rtt.walk.Walk.hops
+  in
+  let shared = function
+    | Some e -> Congestion.entity_delay_ms c e ~time_min
+    | None -> 0.
+  in
+  let congested = links +. shared flow.Rtt.access +. shared flow.Rtt.dest_net in
+  let sigma = params.Params.minrtt_jitter_sigma in
+  let jitter =
+    if sigma <= 0. then 1. else Netsim_prng.Dist.lognormal rng ~mu:0. ~sigma
+  in
+  (base +. congested) *. jitter
+
+let bits = Array.map Int64.bits_of_float
+
+let window_flows () =
+  let t, flow = flow_for st in
+  let w = flow.Rtt.walk in
+  ( t,
+    [
+      Rtt.make_flow ~terminal:Propagation.At_entry w;
+      flow;
+      Rtt.make_flow ~dest_net:(Congestion.Dest_net 2)
+        ~terminal:Propagation.At_entry w;
+      Rtt.make_flow ~access:(Congestion.Access 1)
+        ~dest_net:(Congestion.Dest_net 2) ~extra_ms:3.5
+        ~terminal:(Propagation.To_city ny) w;
+    ] )
+
+(* Episodes on most entity-days, so scanned windows fall both inside
+   and outside one. *)
+let stormy =
+  {
+    Params.default with
+    Params.access_episode_per_day = 1.;
+    transit_episode_per_day = 1.;
+    episode_mean_minutes = 600.;
+  }
+
+let test_samples_ms_exact () =
+  let t, flows = window_flows () in
+  let inside = ref 0 and outside = ref 0 in
+  List.iter
+    (fun params ->
+      let c = Congestion.create params t ~seed:5 in
+      List.iter
+        (fun flow ->
+          for i = 0 to 40 do
+            let time_min = float_of_int i *. 71. in
+            if Congestion.episode_delay_ms c (Congestion.Access 1) ~time_min > 0.
+            then incr inside
+            else incr outside;
+            let count = 1 + (i mod 7) in
+            let rng = Sm.create i in
+            let singles_rng = Sm.copy rng and reference_rng = Sm.copy rng in
+            let got = Rtt.samples_ms c ~rng ~time_min ~count flow in
+            let singles =
+              Array.init count (fun _ ->
+                  Rtt.sample_ms c ~rng:singles_rng ~time_min flow)
+            in
+            let reference =
+              Array.init count (fun _ ->
+                  reference_sample c ~rng:reference_rng ~time_min flow)
+            in
+            Alcotest.(check (array int64)) "= successive sample_ms" (bits singles)
+              (bits got);
+            Alcotest.(check (array int64)) "= per-sample recomputation"
+              (bits reference) (bits got);
+            let next = Sm.next_int64 rng in
+            Alcotest.(check int64) "rng state vs sample_ms" next
+              (Sm.next_int64 singles_rng);
+            Alcotest.(check int64) "rng state vs reference" next
+              (Sm.next_int64 reference_rng)
+          done)
+        flows)
+    [ Params.default; { stormy with Params.minrtt_jitter_sigma = 0. }; stormy ];
+  Alcotest.(check bool) "some windows inside an episode" true (!inside > 0);
+  Alcotest.(check bool) "some windows outside an episode" true (!outside > 0)
+
+let test_samples_ms_empty () =
+  let t, flow = flow_for st in
+  let c = Congestion.create Params.default t ~seed:5 in
+  let rng = Sm.create 1 and before = Sm.create 1 in
+  Alcotest.(check int) "no samples" 0
+    (Array.length (Rtt.samples_ms c ~rng ~time_min:10. ~count:0 flow));
+  Alcotest.(check int64) "rng untouched" (Sm.next_int64 before)
+    (Sm.next_int64 rng)
+
+(* The sample counter is bumped once per window instead of once per
+   sample; its total, and every histogram observation, stay the same. *)
+let test_samples_ms_metrics () =
+  let module Metrics = Netsim_obs.Metrics in
+  let t, flows = window_flows () in
+  let c = Congestion.create stormy t ~seed:5 in
+  let record f =
+    Netsim_obs.Report.reset ();
+    f ();
+    let hist =
+      List.filter_map
+        (fun (name, buckets, summary) ->
+          if name <> "latency.rtt.ms" then None
+          else
+            Some
+              ( buckets,
+                Netsim_stats.Summary.count summary,
+                Int64.bits_of_float (Netsim_stats.Summary.total summary),
+                Int64.bits_of_float (Netsim_stats.Summary.mean summary),
+                Int64.bits_of_float (Netsim_stats.Summary.variance summary) ))
+        (Metrics.histogram_export ())
+    in
+    (Metrics.counter_value (Metrics.counter "latency.rtt.samples"), hist)
+  in
+  let windowed () =
+    let rng = Sm.create 4 in
+    List.iteri
+      (fun i flow ->
+        ignore
+          (Rtt.samples_ms c ~rng ~time_min:(float_of_int i *. 300.)
+             ~count:(i + 2) flow))
+      flows
+  in
+  let singles () =
+    let rng = Sm.create 4 in
+    List.iteri
+      (fun i flow ->
+        for _ = 1 to i + 2 do
+          ignore
+            (Rtt.sample_ms c ~rng ~time_min:(float_of_int i *. 300.) flow)
+        done)
+      flows
+  in
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Netsim_obs.Report.reset ())
+    (fun () ->
+      let n_w, h_w = record windowed in
+      let n_s, h_s = record singles in
+      Alcotest.(check int) "latency.rtt.samples" n_s n_w;
+      Alcotest.(check int) "counted every sample" 14 n_w;
+      Alcotest.(check bool) "latency.rtt.ms identical" true (h_w = h_s && h_w <> []))
+
+(* Reads of a shared [Congestion.t] are pure: four domains deriving
+   access bases in different orders agree with a sequential run. *)
+let test_access_base_domains () =
+  let t = topo () in
+  let n = 4096 in
+  let shared = Congestion.create Params.default t ~seed:11 in
+  let expected =
+    let fresh = Congestion.create Params.default t ~seed:11 in
+    Array.init n (Congestion.access_base_ms fresh)
+  in
+  let order d i =
+    match d with
+    | 0 -> i
+    | 1 -> n - 1 - i
+    | 2 -> (i * 7) mod n
+    | _ -> (i * 1031 + 17) mod n
+  in
+  let results =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let got = Array.make n nan in
+            for i = 0 to n - 1 do
+              let id = order d i in
+              got.(id) <- Congestion.access_base_ms shared id
+            done;
+            got))
+    |> List.map Domain.join
+  in
+  List.iter
+    (fun got ->
+      Alcotest.(check (array int64)) "same as sequential" (bits expected)
+        (bits got))
+    results
+
 let suite =
   [
     Alcotest.test_case "inflation by class" `Quick test_inflation_by_class;
@@ -320,4 +511,8 @@ let suite =
     Alcotest.test_case "extra_ms added" `Quick test_extra_ms_added;
     Alcotest.test_case "median stable" `Quick test_median_of_samples_stable;
     Alcotest.test_case "shared access fate" `Quick test_shared_access_fate;
+    Alcotest.test_case "samples_ms exact" `Quick test_samples_ms_exact;
+    Alcotest.test_case "samples_ms empty" `Quick test_samples_ms_empty;
+    Alcotest.test_case "samples_ms metrics" `Quick test_samples_ms_metrics;
+    Alcotest.test_case "access base across domains" `Quick test_access_base_domains;
   ]

@@ -89,6 +89,77 @@ let test_label_does_not_advance () =
   ignore (Sm.of_label a "anything");
   Alcotest.(check int64) "parent unchanged" (Sm.next_int64 a) (Sm.next_int64 b)
 
+(* ---- In-place label hashes ---- *)
+
+(* The derivations are exact when every draw of the derived stream
+   equals the one [of_label] gives on the formatted string. *)
+let same_stream a b =
+  List.init 4 (fun _ -> Sm.next_int64 a) = List.init 4 (fun _ -> Sm.next_int64 b)
+
+let edge_ints =
+  let pow10 = List.init 19 (fun k -> int_of_float (10. ** float_of_int k)) in
+  [ 0; 1; -1; min_int; max_int; min_int + 1; max_int - 1 ]
+  @ List.concat_map (fun p -> [ p; p - 1; p + 1; -p; -p - 1; -p + 1 ]) pow10
+
+let label_prefixes =
+  [ "ep-link-"; "ep-access-"; "ep-destnet-"; "access-base-"; "access-rate-"; "" ]
+
+let test_label_int_edges () =
+  let root = Sm.create 42 in
+  List.iter
+    (fun prefix ->
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "of_label_int %S %d" prefix n)
+            true
+            (same_stream
+               (Sm.of_label_int root prefix n)
+               (Sm.of_label root (prefix ^ string_of_int n))))
+        edge_ints)
+    label_prefixes
+
+let test_label_int2_edges () =
+  let root = Sm.create 7 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "of_label_int2 %d %d" a b)
+            true
+            (same_stream
+               (Sm.of_label_int2 root "ep-link-" a b)
+               (Sm.of_label root
+                  ("ep-link-" ^ string_of_int a ^ "-" ^ string_of_int b))))
+        edge_ints)
+    edge_ints
+
+let arb_int = QCheck.(oneof [ int; small_signed_int; oneofl edge_ints ])
+
+let prop_label_int =
+  QCheck.Test.make ~name:"of_label_int = of_label on the formatted string"
+    ~count:2000
+    QCheck.(triple small_int (oneofl label_prefixes) arb_int)
+    (fun (seed, prefix, n) ->
+      let root = Sm.create seed in
+      same_stream
+        (Sm.of_label_int root prefix n)
+        (Sm.of_label root (prefix ^ string_of_int n)))
+
+let prop_label_int2 =
+  QCheck.Test.make ~name:"of_label_int2 = of_label on the formatted string"
+    ~count:2000
+    QCheck.(
+      pair (pair small_int (oneofl [ "ep-link-"; "ep-access-"; "ep-destnet-" ]))
+        (pair arb_int arb_int))
+    (fun ((seed, prefix), (a, b)) ->
+      let root = Sm.create seed in
+      same_stream
+        (Sm.of_label_int2 root prefix a b)
+        (Sm.of_label root
+           (prefix ^ string_of_int a ^ "-" ^ string_of_int b)))
+
 (* ---- Distributions ---- *)
 
 let mean_of f n rng =
@@ -275,6 +346,8 @@ let suite =
     Alcotest.test_case "label stability" `Quick test_label_stability;
     Alcotest.test_case "label distinct" `Quick test_label_distinct;
     Alcotest.test_case "label no advance" `Quick test_label_does_not_advance;
+    Alcotest.test_case "label int edges" `Quick test_label_int_edges;
+    Alcotest.test_case "label int2 edges" `Quick test_label_int2_edges;
     Alcotest.test_case "uniform bounds" `Quick test_uniform_bounds;
     Alcotest.test_case "normal moments" `Quick test_normal_moments;
     Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
@@ -297,4 +370,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_next_int_in_range;
     QCheck_alcotest.to_alcotest prop_float_in_unit;
     QCheck_alcotest.to_alcotest prop_shuffle_preserves;
+    QCheck_alcotest.to_alcotest prop_label_int;
+    QCheck_alcotest.to_alcotest prop_label_int2;
   ]
