@@ -181,6 +181,12 @@ let micro_tests =
       (Staged.stage (fun () ->
            let _, _, state, src, _, _ = Lazy.force micro_state in
            ignore (Netsim_bgp.Propagate.received state src)));
+    (* One link failure on the default topology: filter the link array
+       and rebuild the CSR arena, as every dynamics delta does. *)
+    Test.make ~name:"micro/remove-links"
+      (Staged.stage (fun () ->
+           let topo, _, _, _, _, _ = Lazy.force micro_state in
+           ignore (Netsim_topo.Topology.remove_links topo [ 0 ])));
   ]
 
 let run_benchmarks () =

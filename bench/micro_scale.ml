@@ -1,14 +1,16 @@
 (* Microbenchmark of internet-scale batched multi-origin propagation:
 
      dune exec bench/micro_scale.exe -- [--out FILE] [--history FILE]
-       [--gate] [--gate-trend] [--origins N] [iters]
+       [--gate] [--gate-trend] [--origins N] [sweeps]
 
    Generates the ~75k-AS scale topology, propagates a spread of stub
    origins once through [Propagate.run_batch] and once as independent
    [Propagate.run] calls — verifying entry-for-entry equality before
-   any timing — and reports wall time per sweep, throughput in
-   AS-states computed per second, the batched-over-sequential speedup
-   and the process's peak RSS.  Both sweeps run the same level-drain
+   any timing — and reports the median wall time of [sweeps] timed
+   sweeps each (at least 3, default 3, after one warm-up; a single
+   reading follows GC heap growth), throughput in AS-states computed
+   per second, the batched-over-sequential speedup and the process's
+   peak RSS.  Both sweeps run the same level-drain
    kernel, so the speedup is what batching alone buys.  Writes the
    numbers as JSON (default BENCH_scale.json) and appends a history
    record to BENCH_history.jsonl under bench "scale" with a
@@ -28,13 +30,16 @@ module Announce = Netsim_bgp.Announce
 module Propagate = Netsim_bgp.Propagate
 module Jsonx = Netsim_obs.Jsonx
 
-let time_s f iters =
+let median_s f sweeps =
   f () (* warm-up *);
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int iters
+  let times =
+    Array.init sweeps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        f ();
+        Unix.gettimeofday () -. t0)
+  in
+  Array.sort compare times;
+  times.(sweeps / 2)
 
 (* Peak resident set size in kB, from the kernel's high-water mark. *)
 let peak_rss_kb () =
@@ -64,24 +69,25 @@ let () =
   let history = ref Bench_support.Trend.default_history in
   let gate_trend = ref false in
   let origins_n = ref 64 in
-  let rec parse ~out ~gate ~iters = function
-    | [] -> (out, gate, iters)
-    | "--out" :: file :: rest -> parse ~out:file ~gate ~iters rest
+  let rec parse ~out ~gate ~sweeps = function
+    | [] -> (out, gate, sweeps)
+    | "--out" :: file :: rest -> parse ~out:file ~gate ~sweeps rest
     | "--history" :: file :: rest ->
         history := file;
-        parse ~out ~gate ~iters rest
-    | "--gate" :: rest -> parse ~out ~gate:true ~iters rest
+        parse ~out ~gate ~sweeps rest
+    | "--gate" :: rest -> parse ~out ~gate:true ~sweeps rest
     | "--gate-trend" :: rest ->
         gate_trend := true;
-        parse ~out ~gate ~iters rest
+        parse ~out ~gate ~sweeps rest
     | "--origins" :: n :: rest ->
         origins_n := int_of_string n;
-        parse ~out ~gate ~iters rest
-    | n :: rest -> parse ~out ~gate ~iters:(int_of_string n) rest
+        parse ~out ~gate ~sweeps rest
+    | n :: rest -> parse ~out ~gate ~sweeps:(int_of_string n) rest
   in
-  let out, gate, iters =
-    parse ~out:"BENCH_scale.json" ~gate:false ~iters:2 args
+  let out, gate, sweeps =
+    parse ~out:"BENCH_scale.json" ~gate:false ~sweeps:3 args
   in
+  let sweeps = Stdlib.max 3 sweeps in
   let topo =
     match Generator.generate_scale Generator.scale_params with
     | Ok t -> t
@@ -107,26 +113,26 @@ let () =
       end)
     batched;
   let batch_s =
-    time_s (fun () -> ignore (Propagate.run_batch topo configs)) iters
+    median_s (fun () -> ignore (Propagate.run_batch topo configs)) sweeps
   in
   let seq_s =
-    time_s
+    median_s
       (fun () ->
         Array.iter (fun c -> ignore (Propagate.run topo c)) configs)
-      iters
+      sweeps
   in
   let speedup = seq_s /. batch_s in
   let ases_per_sec = float_of_int (n * k) /. batch_s in
   let rss_kb = peak_rss_kb () in
   Printf.printf
-    "scale: %d ASes  %d links  %d origins  %d iters\n\
+    "scale: %d ASes  %d links  %d origins  median of %d sweeps\n\
      batched %.3f s/sweep  sequential %.3f s/sweep  speedup %.2fx\n\
      throughput %.0f AS-states/s  peak RSS %d kB\n"
-    n (Topology.link_count topo) k iters batch_s seq_s speedup ases_per_sec
+    n (Topology.link_count topo) k sweeps batch_s seq_s speedup ases_per_sec
     rss_kb;
   Bench_support.Bench_out.write ~out ~bench:"scale"
     [
-      ("iters", Jsonx.Int iters);
+      ("sweeps", Jsonx.Int sweeps);
       ("as_count", Jsonx.Int n);
       ("link_count", Jsonx.Int (Topology.link_count topo));
       ("origins", Jsonx.Int k);

@@ -34,13 +34,7 @@ let () =
   in
   Printf.printf "Failing the busiest front-end: %s\n\n" (name busiest);
   (* Kill every provider session at that metro. *)
-  let dead_links =
-    Topology.neighbors topo asid
-    |> List.filter_map (fun (nb : Topology.neighbor) ->
-           if nb.Topology.link.Relation.metro = busiest then
-             Some nb.Topology.link.Relation.id
-           else None)
-  in
+  let dead_links = Topology.link_ids_of topo ~metro:busiest asid in
   let failed = Topology.remove_links topo dead_links in
   let before = Propagate.run topo (Announce.default ~origin:asid) in
   let after = Propagate.run failed (Announce.default ~origin:asid) in

@@ -22,7 +22,11 @@ let customer_cone topo asid =
   let rec go x =
     if not seen.(x) then begin
       seen.(x) <- true;
-      List.iter go (Topology.customers topo x)
+      Topology.fold_row topo x
+        (fun pn () ->
+          if Topology.pn_rel pn = Relation.To_customer then
+            go (Topology.pn_peer pn))
+        ()
     end
   in
   go asid;

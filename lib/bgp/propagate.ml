@@ -39,9 +39,6 @@ let max_path_len = (1 lsl 20) - 1
 type state = {
   topo : Topology.t;
   config : Announce.t;
-  link_by_id : Relation.link array;
-      (** Link records indexed by id (ids survive [remove_links], so
-          this is {e not} the topology's [links] array). *)
   cust : int array;
   peer : int array;
   prov : int array;
@@ -54,26 +51,11 @@ let topology s = s.topo
 let config s = s.config
 let origin s = s.config.Announce.origin
 
-let dummy_link =
-  { Relation.id = -1; a = -1; b = -1; kind = Relation.C2p; metro = 0;
-    capacity_gbps = 0. }
-
-let link_index topo =
-  let links = Topology.links topo in
-  let max_id =
-    Array.fold_left
-      (fun m (l : Relation.link) -> Stdlib.max m l.Relation.id)
-      (-1) links
-  in
-  let t = Array.make (max_id + 1) dummy_link in
-  Array.iter (fun (l : Relation.link) -> t.(l.Relation.id) <- l) links;
-  t
-
 let entry_of s v =
   {
     len = e_len v;
     parent = e_parent v;
-    link = s.link_by_id.(e_link v);
+    link = Topology.link s.topo (e_link v);
     no_export = e_ne v;
   }
 
@@ -182,29 +164,30 @@ let levels_next q =
    by the class in which the receiving AS learns them. *)
 let seeds topo config ~klass =
   let origin = config.Announce.origin in
-  List.filter_map
-    (fun (nb : Topology.neighbor) ->
-      let action = Announce.action_on config nb.link in
-      if not action.Announce.export then None
+  Topology.fold_row topo origin
+    (fun pn acc ->
+      let link = Topology.link topo (Topology.pn_link pn) in
+      let action = Announce.action_on config link in
+      if not action.Announce.export then acc
       else begin
-        (* nb.rel is the relation from the origin's perspective; the
+        (* The word's relation is from the origin's perspective; the
            receiver's class is the mirror image. *)
         let receiver_klass =
-          match nb.rel with
+          match Topology.pn_rel pn with
           | Relation.To_customer -> Route.Provider (* receiver sees provider *)
           | Relation.To_provider -> Route.Customer (* receiver sees customer *)
           | Relation.Priv_peer | Relation.Pub_peer -> Route.Peer
         in
         if receiver_klass = klass then
-          Some
-            ( nb.peer,
-              1 + action.Announce.prepend,
-              origin,
-              nb.link,
-              action.Announce.no_export )
-        else None
+          ( Topology.pn_peer pn,
+            1 + action.Announce.prepend,
+            origin,
+            link,
+            action.Announce.no_export )
+          :: acc
+        else acc
       end)
-    (Topology.neighbors topo origin)
+    []
 
 let c_exported = Netsim_obs.Metrics.counter "bgp.announcements_exported"
 let c_selected = Netsim_obs.Metrics.counter "bgp.routes_selected"
@@ -455,7 +438,6 @@ let kernel ~tracing ~pv_on topo configs =
     ~exports:(fun idx -> bc.(idx) < 0 && bp.(idx) < 0 && not (e_ne bv.(idx)))
     ~recv:All ~tracing ~pvas ~cls:2;
   (* ---- Per-origin states: a single origin keeps the tables. ---- *)
-  let link_by_id = link_index topo in
   Array.init k (fun o ->
       let cust, peer, prov =
         if k = 1 then (bc, bp, bv)
@@ -479,7 +461,6 @@ let kernel ~tracing ~pv_on topo configs =
       {
         topo;
         config = configs.(o);
-        link_by_id;
         cust;
         peer;
         prov;
@@ -518,7 +499,6 @@ let of_rib_arrays ~topo ~config ~cust ~peer ~prov =
   let n = Topology.as_count topo in
   if Array.length cust <> n || Array.length peer <> n || Array.length prov <> n
   then invalid_arg "Propagate.of_rib_arrays: table length <> AS count";
-  let link_by_id = link_index topo in
   let origin = config.Announce.origin in
   let fail name x what =
     invalid_arg
@@ -537,10 +517,13 @@ let of_rib_arrays ~topo ~config ~cust ~peer ~prov =
               (Printf.sprintf
                  "Propagate.of_rib_arrays: %s entry at the origin" name);
           let l = e_link v and p = e_parent v in
-          if l >= Array.length link_by_id || link_by_id.(l).Relation.id <> l
-          then fail name x (Printf.sprintf "references unknown link %d" l);
+          let link =
+            match Topology.link topo l with
+            | link -> link
+            | exception Invalid_argument _ ->
+                fail name x (Printf.sprintf "references unknown link %d" l)
+          in
           if p >= n then fail name x "has parent out of range";
-          let link = link_by_id.(l) in
           if
             not
               ((link.Relation.a = x && link.Relation.b = p)
@@ -578,7 +561,6 @@ let of_rib_arrays ~topo ~config ~cust ~peer ~prov =
   {
     topo;
     config;
-    link_by_id;
     cust = Array.copy cust;
     peer = Array.copy peer;
     prov = Array.copy prov;
@@ -680,13 +662,10 @@ let reconverge ?provenance s ~topo delta =
   | Link_added l -> (
       improving := true;
       let link =
-        match
-          Array.find_opt
-            (fun (lk : Relation.link) -> lk.Relation.id = l)
-            (Topology.links topo)
-        with
-        | Some lk -> lk
-        | None -> invalid_arg "Propagate.reconverge: added link not in topology"
+        match Topology.link topo l with
+        | lk -> lk
+        | exception Invalid_argument _ ->
+            invalid_arg "Propagate.reconverge: added link not in topology"
       in
       match link.Relation.kind with
       | Relation.C2p ->
@@ -874,7 +853,7 @@ let reconverge ?provenance s ~topo delta =
     | None -> s.pv <> None || Provenance.enabled ()
   in
   let pv = if pv_on then (run ~provenance:true topo config).pv else None in
-  ({ topo; config; link_by_id = link_index topo; cust; peer; prov; pv }, stats)
+  ({ topo; config; cust; peer; prov; pv }, stats)
 
 let selected_entry s x =
   if x = origin s then None
@@ -940,51 +919,53 @@ let klass_of_rel = function
 let received s x =
   if x = origin s then []
   else
-    List.filter_map
-      (fun (nb : Topology.neighbor) ->
-        if nb.peer = origin s then begin
+    Topology.fold_row s.topo x
+      (fun pn acc ->
+        let y = Topology.pn_peer pn and rel = Topology.pn_rel pn in
+        let link = Topology.link s.topo (Topology.pn_link pn) in
+        if y = origin s then begin
           (* Direct announcement from the origin on this session. *)
-          let action = Announce.action_on s.config nb.link in
-          if not action.Announce.export then None
+          let action = Announce.action_on s.config link in
+          if not action.Announce.export then acc
           else
-            Some
-              {
-                Route.dest = origin s;
-                klass = klass_of_rel nb.rel;
-                next_hop = nb.peer;
-                via_link = nb.link;
-                path_len = 1 + action.Announce.prepend;
-                as_path = [ origin s ];
-              }
+            {
+              Route.dest = origin s;
+              klass = klass_of_rel rel;
+              next_hop = y;
+              via_link = link;
+              path_len = 1 + action.Announce.prepend;
+              as_path = [ origin s ];
+            }
+            :: acc
         end
         else
-          match selected_entry s nb.peer with
-          | None -> None
+          match selected_entry s y with
+          | None -> acc
           | Some (peer_klass, peer_entry) ->
               (* A NO_EXPORT route is never advertised further.
                  Otherwise: to its customers the neighbor exports
                  everything; to peers/providers only customer-learned
                  routes. *)
-              let x_is_customer_of_peer = nb.rel = Relation.To_provider in
-              if peer_entry.no_export then None
+              let x_is_customer_of_peer = rel = Relation.To_provider in
+              if peer_entry.no_export then acc
               else if
                 (not x_is_customer_of_peer) && peer_klass <> Route.Customer
-              then None
+              then acc
               else begin
-                let peer_path = path_of s nb.peer peer_klass in
-                if List.mem x peer_path || peer_entry.parent = x then None
+                let peer_path = path_of s y peer_klass in
+                if List.mem x peer_path || peer_entry.parent = x then acc
                 else
-                  Some
-                    {
-                      Route.dest = origin s;
-                      klass = klass_of_rel nb.rel;
-                      next_hop = nb.peer;
-                      via_link = nb.link;
-                      path_len = peer_entry.len + 1;
-                      as_path = nb.peer :: peer_path;
-                    }
+                  {
+                    Route.dest = origin s;
+                    klass = klass_of_rel rel;
+                    next_hop = y;
+                    via_link = link;
+                    path_len = peer_entry.len + 1;
+                    as_path = y :: peer_path;
+                  }
+                  :: acc
               end)
-      (Topology.neighbors s.topo x)
+      []
 
 let received_at_metro s x ~metro =
   List.filter

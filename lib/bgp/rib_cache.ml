@@ -27,14 +27,13 @@ type key = {
 let key_of topo (config : Announce.t) =
   let origin = config.Announce.origin in
   let actions =
-    List.map
-      (fun (nb : Topology.neighbor) ->
-        let a = Announce.action_on config nb.link in
-        ( nb.link.Relation.id,
-          a.Announce.export,
-          a.Announce.prepend,
-          a.Announce.no_export ))
-      (Topology.neighbors topo origin)
+    Topology.fold_row topo origin
+      (fun pn acc ->
+        let id = Topology.pn_link pn in
+        let a = Announce.action_on config (Topology.link topo id) in
+        (id, a.Announce.export, a.Announce.prepend, a.Announce.no_export)
+        :: acc)
+      []
     |> List.sort compare
   in
   { k_gen = Topology.generation topo; k_origin = origin; k_actions = actions }

@@ -42,14 +42,6 @@ let floor_to_anycast topo state (p : Prefix.t) =
           Propagation.walk_rtt_ms Params.default topo walk
             ~terminal:Propagation.At_entry )
 
-let provider_links_at topo asid metro =
-  List.filter_map
-    (fun (nb : Topology.neighbor) ->
-      if nb.Topology.link.Relation.metro = metro then
-        Some nb.Topology.link.Relation.id
-      else None)
-    (Topology.neighbors topo asid)
-
 let fail_site (ms : Scenario.microsoft) ~table ~ttl_seconds ~site =
   let system = ms.Scenario.ms_system in
   let d = Anycast.deployment system in
@@ -57,7 +49,7 @@ let fail_site (ms : Scenario.microsoft) ~table ~ttl_seconds ~site =
   let asid = d.Deployment.asid in
   let before = Rib_cache.run topo (Announce.default ~origin:asid) in
   let failed_topo =
-    Topology.remove_links topo (provider_links_at topo asid site)
+    Topology.remove_links topo (Topology.link_ids_of topo ~metro:site asid)
   in
   (* The failed topology has a fresh generation stamp, so this can
      never hit a stale entry; [before], by contrast, is the same

@@ -182,15 +182,6 @@ let apply_link_delta t dir l =
     Some (!dirty, !states)
   end
 
-let site_links t ~asid ~metro =
-  List.filter_map
-    (fun (nb : Topology.neighbor) ->
-      if nb.Topology.link.Relation.metro = metro then
-        Some nb.Topology.link.Relation.id
-      else None)
-    (Topology.neighbors t.base_topo asid)
-  |> List.sort_uniq compare
-
 let record_convergence t ~time ~event ~dirty ~states ~full_runs =
   if states > 0 || full_runs > 0 then begin
     t.convergence <-
@@ -231,9 +222,9 @@ let handle t ~time ev =
         schedule t ~at:(time +. down_minutes) (Event.Link_up link_id)
       end
   | Event.Site_down { asid; metro } ->
-      List.iter (link `Down) (site_links t ~asid ~metro)
+      List.iter (link `Down) (Topology.link_ids_of t.base_topo ~metro asid)
   | Event.Site_up { asid; metro } ->
-      List.iter (link `Up) (site_links t ~asid ~metro)
+      List.iter (link `Up) (Topology.link_ids_of t.base_topo ~metro asid)
   | Event.Congestion_onset { link_id; extra_ms; duration_min } -> (
       match t.cong with
       | None -> ()

@@ -1,18 +1,3 @@
-type neighbor = { peer : int; rel : Relation.rel; link : Relation.link }
-
-(* Neighbor records are a cold-path convenience view of the CSR arena
-   below.  Constructors that materialise them anyway store them
-   eagerly; [of_csr] — the mmap snapshot-load path — defers building
-   the boxed rows until first use, so a query daemon that only runs
-   the packed hot loops never pays the allocation.  The memo is a CAS
-   cell rather than [Lazy.t] because lazy forcing is not domain-safe
-   under OCaml 5: [build] is pure, so when two domains race both
-   compute the same rows and the CAS loser adopts the winner's. *)
-type adj_cell = {
-  memo : neighbor list array option Atomic.t;
-  build : unit -> neighbor list array;
-}
-
 type partition = {
   up_off : int array;
   up_words : int array;
@@ -26,30 +11,24 @@ type t = {
   gen : int;
   ases : Asn.t array;
   links : Relation.link array;
-  adj : adj_cell;
-  (* CSR adjacency arena: AS [x]'s packed neighbor words live at
-     [csr_words.(csr_off.(x)) .. csr_words.(csr_off.(x+1) - 1)].  Two
-     flat arrays instead of per-node rows keeps the hot propagation
-     loops on one contiguous allocation that domains share read-only. *)
+  (* Link records indexed by id: [links] itself while ids are dense,
+     else a table with [dummy_link] in the holes [remove_links]
+     leaves. *)
+  by_id : Relation.link array;
+  (* CSR adjacency arena, the only adjacency: AS [x]'s packed neighbor
+     words live at [csr_words.(csr_off.(x)) .. csr_words.(csr_off.(x+1)
+     - 1)].  Two flat arrays instead of per-node rows keeps the hot
+     propagation loops on one contiguous allocation that domains share
+     read-only. *)
   csr_off : int array;
   csr_words : int array;
   (* The arena split by relation class, built from it on first use
-     and memoised in a CAS cell like [adj]'s.  Every constructor
+     and memoised in a CAS cell rather than [Lazy.t], because lazy
+     forcing is not domain-safe under OCaml 5.  Every constructor
      starts an empty cell: a copied one would describe another link
      set. *)
   part : partition option Atomic.t;
 }
-
-let eager_adj adj = { memo = Atomic.make (Some adj); build = (fun () -> adj) }
-
-let force_adj t =
-  match Atomic.get t.adj.memo with
-  | Some a -> a
-  | None ->
-      let a = t.adj.build () in
-      if Atomic.compare_and_set t.adj.memo None (Some a) then a
-      else (
-        match Atomic.get t.adj.memo with Some winner -> winner | None -> a)
 
 (* Every constructed topology gets a unique generation stamp, so a
    value derived by [remove_links] (the dynamics engine's reconverge
@@ -80,28 +59,8 @@ let pn_rel pn =
   | 2 -> Relation.Priv_peer
   | _ -> Relation.Pub_peer
 
-let pack_neighbor ~rel ~peer ~link_id =
-  (rel_code rel lsl 41) lor (peer lsl 21) lor link_id
-
-let pack_of_nb (nb : neighbor) =
-  pack_neighbor ~rel:nb.rel ~peer:nb.peer ~link_id:nb.link.Relation.id
-
-let csr_of_adj adj =
-  let n = Array.length adj in
-  let off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + List.length adj.(i)
-  done;
-  let words = Array.make off.(n) 0 in
-  for i = 0 to n - 1 do
-    let j = ref off.(i) in
-    List.iter
-      (fun nb ->
-        words.(!j) <- pack_of_nb nb;
-        incr j)
-      adj.(i)
-  done;
-  (off, words)
+let pack_neighbor (l : Relation.link) x ~peer =
+  (rel_code (Relation.rel_of l x) lsl 41) lor (peer lsl 21) lor l.Relation.id
 
 (* One O(n+m) pass pair: count each row's words per class, then copy
    them in row order. *)
@@ -147,142 +106,86 @@ let build_partition (off : int array) (wrd : int array) =
   done;
   { up_off; up_words; lat_off; lat_words; down_off; down_words }
 
-let build_adjacency n links =
-  let adj = Array.make n [] in
-  Array.iter
-    (fun (l : Relation.link) ->
-      adj.(l.a) <-
-        { peer = l.b; rel = Relation.rel_of l l.a; link = l } :: adj.(l.a);
-      adj.(l.b) <-
-        { peer = l.a; rel = Relation.rel_of l l.b; link = l } :: adj.(l.b))
-    links;
-  adj
+let dummy_link =
+  { Relation.id = -1; a = -1; b = -1; kind = Relation.C2p; metro = 0;
+    capacity_gbps = 0. }
 
-let check_packing_limits n links =
-  if n > max_as_count then
-    invalid_arg "Topology: AS count exceeds packed-adjacency limit (2^20)";
-  Array.iter
-    (fun (l : Relation.link) ->
-      if l.Relation.id < 0 || l.Relation.id >= max_link_count then
-        invalid_arg "Topology: link id exceeds packed-adjacency limit (2^21)")
-    links
-
-let check_dense_ases what ases =
+(* The one constructor: validate, index links by id, and build the
+   arena by counting sort — count each row's words, prefix-sum the
+   counts into offsets, then fill every row from its end while walking
+   the link array forwards.  A row therefore lists its links in
+   reverse link-array order. *)
+let of_links ~what ases (links : Relation.link array) =
+  let fail msg = invalid_arg (Printf.sprintf "Topology.%s: %s" what msg) in
+  let n = Array.length ases in
   Array.iteri
     (fun i (a : Asn.t) ->
-      if a.id <> i then
-        invalid_arg (Printf.sprintf "Topology.%s: AS ids must be dense" what);
-      if Array.length a.footprint = 0 then
-        invalid_arg
-          (Printf.sprintf "Topology.%s: AS with empty footprint" what))
-    ases
-
-(* Index serialized link records by id, validating endpoints and
-   uniqueness. *)
-let index_links ~n (links : Relation.link array) =
-  let max_id =
-    Array.fold_left
-      (fun m (l : Relation.link) -> Stdlib.max m l.Relation.id)
-      (-1) links
+      if a.id <> i then fail "AS ids must be dense";
+      if Array.length a.footprint = 0 then fail "AS with empty footprint")
+    ases;
+  if n > max_as_count then
+    fail "AS count exceeds packed-adjacency limit (2^20)";
+  let off = Array.make (n + 1) 0 in
+  let dense = ref true and max_id = ref (-1) in
+  Array.iteri
+    (fun i (l : Relation.link) ->
+      if l.a < 0 || l.a >= n || l.b < 0 || l.b >= n then
+        fail "link endpoint out of range";
+      if l.a = l.b then fail "self-link";
+      if l.id < 0 || l.id >= max_link_count then
+        fail "link id exceeds packed-adjacency limit (2^21)";
+      if l.id <> i then dense := false;
+      if l.id > !max_id then max_id := l.id;
+      off.(l.a + 1) <- off.(l.a + 1) + 1;
+      off.(l.b + 1) <- off.(l.b + 1) + 1)
+    links;
+  let by_id =
+    if !dense then links
+    else begin
+      let tbl = Array.make (!max_id + 1) dummy_link in
+      Array.iter
+        (fun (l : Relation.link) ->
+          if tbl.(l.id) != dummy_link then fail "duplicate link id";
+          tbl.(l.id) <- l)
+        links;
+      tbl
+    end
   in
-  let by_id = Array.make (max_id + 1) None in
+  for x = 0 to n - 1 do
+    off.(x + 1) <- off.(x + 1) + off.(x)
+  done;
+  let fill = Array.sub off 1 n in
+  let words = Array.make off.(n) 0 in
   Array.iter
     (fun (l : Relation.link) ->
-      if l.a < 0 || l.a >= n || l.b < 0 || l.b >= n || l.a = l.b then
-        invalid_arg "Topology.of_csr: link endpoint out of range";
-      if by_id.(l.Relation.id) <> None then
-        invalid_arg "Topology.of_csr: duplicate link id";
-      by_id.(l.Relation.id) <- Some l)
+      let a = l.a and b = l.b in
+      fill.(a) <- fill.(a) - 1;
+      words.(fill.(a)) <- pack_neighbor l a ~peer:b;
+      fill.(b) <- fill.(b) - 1;
+      words.(fill.(b)) <- pack_neighbor l b ~peer:a)
     links;
-  by_id
-
-(* Validate one packed neighbor word of AS [x] against the link
-   records. *)
-let check_word by_id x pn =
-  if pn < 0 || pn lsr 43 <> 0 then
-    invalid_arg "Topology.of_csr: packed word out of range";
-  let id = pn_link pn and peer = pn_peer pn and rel = pn_rel pn in
-  let link = if id >= Array.length by_id then None else by_id.(id) in
-  match link with
-  | None -> invalid_arg "Topology.of_csr: unknown link id"
-  | Some l ->
-      if
-        not
-          ((l.Relation.a = x && l.Relation.b = peer)
-          || (l.Relation.b = x && l.Relation.a = peer))
-      then
-        invalid_arg
-          "Topology.of_csr: packed neighbor disagrees with link record";
-      if Relation.rel_of l x <> rel then
-        invalid_arg "Topology.of_csr: packed relation disagrees with link kind"
+  {
+    gen = next_gen ();
+    ases;
+    links;
+    by_id;
+    csr_off = off;
+    csr_words = words;
+    part = Atomic.make None;
+  }
 
 let make ases link_list =
-  let n = Array.length ases in
-  check_dense_ases "make" ases;
-  let links =
-    Array.of_list
-      (List.mapi (fun i (l : Relation.link) -> { l with Relation.id = i }) link_list)
-  in
-  Array.iter
-    (fun (l : Relation.link) ->
-      if l.a < 0 || l.a >= n || l.b < 0 || l.b >= n then
-        invalid_arg "Topology.make: link endpoint out of range";
-      if l.a = l.b then invalid_arg "Topology.make: self-link")
-    links;
-  check_packing_limits n links;
-  let adj = build_adjacency n links in
-  let csr_off, csr_words = csr_of_adj adj in
-  {
-    gen = next_gen ();
-    ases;
-    links;
-    adj = eager_adj adj;
-    csr_off;
-    csr_words;
-    part = Atomic.make None;
-  }
+  of_links ~what:"make" ases
+    (Array.of_list
+       (List.mapi
+          (fun i (l : Relation.link) -> { l with Relation.id = i })
+          link_list))
 
 let of_csr ~ases ~links ~csr_off ~csr_words =
-  let n = Array.length ases in
-  check_dense_ases "of_csr" ases;
-  check_packing_limits n links;
-  if Array.length csr_off <> n + 1 then
-    invalid_arg "Topology.of_csr: offset array length <> AS count + 1";
-  if csr_off.(0) <> 0 then
-    invalid_arg "Topology.of_csr: offsets must start at 0";
-  for x = 0 to n - 1 do
-    if csr_off.(x + 1) < csr_off.(x) then
-      invalid_arg "Topology.of_csr: offsets must be monotone"
-  done;
-  if csr_off.(n) <> Array.length csr_words then
-    invalid_arg "Topology.of_csr: word arena length <> final offset";
-  let by_id = index_links ~n links in
-  for x = 0 to n - 1 do
-    for j = csr_off.(x) to csr_off.(x + 1) - 1 do
-      check_word by_id x csr_words.(j)
-    done
-  done;
-  (* Words are validated above, so the deferred row build can decode
-     them without re-checking. *)
-  let build () =
-    Array.init n (fun x ->
-        List.init
-          (csr_off.(x + 1) - csr_off.(x))
-          (fun k ->
-            let pn = csr_words.(csr_off.(x) + k) in
-            match by_id.(pn_link pn) with
-            | Some l -> { peer = pn_peer pn; rel = pn_rel pn; link = l }
-            | None -> assert false))
-  in
-  {
-    gen = next_gen ();
-    ases;
-    links;
-    adj = { memo = Atomic.make None; build };
-    csr_off;
-    csr_words;
-    part = Atomic.make None;
-  }
+  let t = of_links ~what:"of_csr" ases links in
+  if csr_off <> t.csr_off || csr_words <> t.csr_words then
+    invalid_arg "Topology.of_csr: arena disagrees with the link records";
+  t
 
 let as_count t = Array.length t.ases
 let link_count t = Array.length t.links
@@ -290,9 +193,24 @@ let generation t = t.gen
 let asn t i = t.ases.(i)
 let ases t = t.ases
 let links t = t.links
-let neighbors t i = (force_adj t).(i)
+
+(* Hot: [Propagate] decodes every entry's link through here.  The hole
+   test is physical so it never loads the record, which is a cache
+   miss at scale. *)
+let link t id =
+  if id < 0 || id >= Array.length t.by_id || t.by_id.(id) == dummy_link then
+    invalid_arg (Printf.sprintf "Topology.link: unknown link id %d" id);
+  t.by_id.(id)
+
 let csr_offsets t = t.csr_off
 let csr_words t = t.csr_words
+
+let fold_row t x f init =
+  let acc = ref init in
+  for i = t.csr_off.(x + 1) - 1 downto t.csr_off.(x) do
+    acc := f t.csr_words.(i) !acc
+  done;
+  !acc
 
 let partition t =
   match Atomic.get t.part with
@@ -302,112 +220,68 @@ let partition t =
       if Atomic.compare_and_set t.part None (Some p) then p
       else (match Atomic.get t.part with Some winner -> winner | None -> p)
 
-let filter_rel t i want =
-  List.filter_map
-    (fun nb -> if want nb.rel then Some nb.peer else None)
-    (neighbors t i)
+let peers_where t i want =
+  fold_row t i
+    (fun pn acc -> if want (pn_rel pn) then pn_peer pn :: acc else acc)
+    []
   |> List.sort_uniq compare
 
-let customers t i = filter_rel t i (fun r -> r = Relation.To_customer)
-let providers t i = filter_rel t i (fun r -> r = Relation.To_provider)
+let customers t i = peers_where t i (fun r -> r = Relation.To_customer)
+let providers t i = peers_where t i (fun r -> r = Relation.To_provider)
 
 let peers t i =
-  filter_rel t i (fun r ->
-      match r with
-      | Relation.Priv_peer | Relation.Pub_peer -> true
-      | Relation.To_customer | Relation.To_provider -> false)
+  peers_where t i (function
+    | Relation.Priv_peer | Relation.Pub_peer -> true
+    | Relation.To_customer | Relation.To_provider -> false)
 
-let degree t i = List.length (neighbors t i)
+let degree t i = t.csr_off.(i + 1) - t.csr_off.(i)
 
 let links_between t x y =
-  List.filter_map
-    (fun nb -> if nb.peer = y then Some nb.link else None)
-    (neighbors t x)
+  fold_row t x
+    (fun pn acc -> if pn_peer pn = y then t.by_id.(pn_link pn) :: acc else acc)
+    []
+
+let link_ids_of t ?metro asid =
+  fold_row t asid
+    (fun pn acc ->
+      let id = pn_link pn in
+      match metro with
+      | Some m when t.by_id.(id).Relation.metro <> m -> acc
+      | Some _ | None -> id :: acc)
+    []
+  |> List.sort_uniq compare
 
 let add_as t ~klass ~name ~footprint =
-  if Array.length footprint = 0 then
-    invalid_arg "Topology.add_as: empty footprint";
   let id = Array.length t.ases in
-  if id + 1 > max_as_count then
-    invalid_arg "Topology.add_as: AS count exceeds packed-adjacency limit";
-  let ases = Array.append t.ases [| { Asn.id; klass; name; footprint } |] in
-  ( {
-      gen = next_gen ();
-      ases;
-      links = t.links;
-      adj = eager_adj (Array.append (force_adj t) [| [] |]);
-      (* The new AS has no neighbors: one more (equal) offset, same
-         word arena. *)
-      csr_off = Array.append t.csr_off [| t.csr_off.(Array.length t.csr_off - 1) |];
-      csr_words = t.csr_words;
-      part = Atomic.make None;
-    },
+  ( of_links ~what:"add_as"
+      (Array.append t.ases [| { Asn.id; klass; name; footprint } |])
+      t.links,
     id )
 
 let add_links t specs =
-  let base = Array.length t.links in
+  let base = Array.length t.by_id in
   let extra =
     List.mapi
       (fun i (a, b, kind, metro, capacity_gbps) ->
         { Relation.id = base + i; a; b; kind; metro; capacity_gbps })
       specs
   in
-  let links = Array.append t.links (Array.of_list extra) in
-  let n = Array.length t.ases in
-  Array.iter
-    (fun (l : Relation.link) ->
-      if l.a < 0 || l.a >= n || l.b < 0 || l.b >= n || l.a = l.b then
-        invalid_arg "Topology.add_links: bad endpoints")
-    links;
-  check_packing_limits n links;
-  let adj = build_adjacency n links in
-  let csr_off, csr_words = csr_of_adj adj in
-  {
-    t with
-    gen = next_gen ();
-    links;
-    adj = eager_adj adj;
-    csr_off;
-    csr_words;
-    part = Atomic.make None;
-  }
+  of_links ~what:"add_links" t.ases (Array.append t.links (Array.of_list extra))
 
 let remove_links t ids =
-  let module S = Set.Make (Int) in
-  let failed = S.of_list ids in
-  let keep (l : Relation.link) = not (S.mem l.Relation.id failed) in
-  let links = Array.of_list (List.filter keep (Array.to_list t.links)) in
-  (* Adjacency changes only at the endpoints of removed links; every
-     other AS shares its neighbor list with [t].  Filtering preserves
-     order, so the result is identical to a full rebuild. *)
-  let touched =
-    Array.fold_left
-      (fun acc (l : Relation.link) ->
-        if keep l then acc else S.add l.Relation.a (S.add l.Relation.b acc))
-      S.empty t.links
+  let failed = Array.make (Array.length t.by_id) false in
+  List.iter
+    (fun id -> if id >= 0 && id < Array.length failed then failed.(id) <- true)
+    ids;
+  let links =
+    Array.of_list
+      (List.filter
+         (fun (l : Relation.link) -> not failed.(l.Relation.id))
+         (Array.to_list t.links))
   in
-  let adj = Array.copy (force_adj t) in
-  S.iter
-    (fun x -> adj.(x) <- List.filter (fun nb -> keep nb.link) adj.(x))
-    touched;
-  (* The CSR arena is contiguous, so it is rebuilt wholesale — O(n+m),
-     the same order as the links-array filter above. *)
-  let csr_off, csr_words = csr_of_adj adj in
-  {
-    t with
-    gen = next_gen ();
-    links;
-    adj = eager_adj adj;
-    csr_off;
-    csr_words;
-    part = Atomic.make None;
-  }
+  of_links ~what:"remove_links" t.ases links
 
-let remove_links_of_as t asid =
-  let ids =
-    List.map (fun (nb : neighbor) -> nb.link.Relation.id) (neighbors t asid)
-  in
-  remove_links t ids
+let remove_links_of_as t asid = remove_links t (link_ids_of t asid)
 
 let by_klass t klass =
   Array.to_list t.ases

@@ -5,12 +5,6 @@
     the CDN and WAN layers to graft a content or cloud AS onto a base
     Internet). *)
 
-type neighbor = {
-  peer : int;  (** Neighboring AS id. *)
-  rel : Relation.rel;  (** Relation from this AS's perspective. *)
-  link : Relation.link;
-}
-
 type t
 
 val make : Asn.t array -> Relation.link list -> t
@@ -32,21 +26,28 @@ val generation : t -> int
 val asn : t -> int -> Asn.t
 val ases : t -> Asn.t array
 val links : t -> Relation.link array
-val neighbors : t -> int -> neighbor list
+
+val link : t -> int -> Relation.link
+(** [link t id] is the link record with id [id], in O(1) from a table
+    built by the constructor (the [links] array itself while ids are
+    dense).  Ids survive {!remove_links}, so this is not an index into
+    {!links}.  @raise Invalid_argument on an id not in [t]. *)
 
 (** {2 Packed CSR adjacency}
 
-    Allocation-free mirror of {!neighbors} for hot loops: each
-    neighbor is one immediate int with the link id in bits 0-20, the
-    peer AS id in bits 21-40 and the relation in bits 41-42, decoded
-    with the [pn_*] accessors.  AS count is capped at 2^20 and link
-    ids at 2^21 by the constructors to keep the packing valid.
+    The only adjacency a topology stores.  Each neighbor is one
+    immediate int with the link id in bits 0-20, the peer AS id in
+    bits 21-40 and the relation (from the row's AS) in bits 41-42,
+    decoded with the [pn_*] accessors.  AS count is capped at 2^20 and
+    link ids at 2^21 by the constructors to keep the packing valid.
 
     The words live in a compressed-sparse-row arena: AS [x]'s
     neighbors are [csr_words.(csr_offsets.(x))
-    .. csr_words.(csr_offsets.(x+1) - 1)].  Both arrays are built once
-    per topology and shared {e read-only} across pool domains — never
-    mutate them. *)
+    .. csr_words.(csr_offsets.(x+1) - 1)].  Every constructor builds it
+    from the link array by counting sort, so a row lists the links
+    touching [x] in reverse link-array order.  Both arrays are built
+    once per topology and shared {e read-only} across pool domains —
+    never mutate them. *)
 
 val max_as_count : int
 (** 2^20 — the AS-count cap the packed word layout supports. *)
@@ -68,6 +69,11 @@ val pn_link : int -> int
 
 val pn_rel : int -> Relation.rel
 
+val fold_row : t -> int -> (int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_row t x f init] folds [f] over AS [x]'s packed words from
+    the last to the first, like [List.fold_right], so consing builds a
+    list in row order. *)
+
 (** The CSR arena split by relation class: per AS, only its
     [To_provider], peer ([Priv_peer]/[Pub_peer]) and [To_customer]
     words, each segment in row order and indexed like {!csr_offsets}
@@ -85,10 +91,10 @@ type partition = {
 
 val partition : t -> partition
 (** The class-partitioned arena, built in O(n+m) on first use and
-    memoised on the topology value, like the {!neighbors} rows of
-    {!of_csr} (domain-safe: racing builders compute equal arrays and
-    one result wins).  Every constructor, {!remove_links} included,
-    returns a value with no partition built yet. *)
+    memoised on the topology value (domain-safe: racing builders
+    compute equal arrays and one result wins).  Every constructor,
+    {!remove_links} included, returns a value with no partition built
+    yet. *)
 
 val of_csr :
   ases:Asn.t array ->
@@ -96,17 +102,13 @@ val of_csr :
   csr_off:int array ->
   csr_words:int array ->
   t
-(** Reconstruct a topology directly from its CSR arena, as stored in a
-    snapshot: [csr_off] must have length [n + 1], start at 0, be
-    monotone and end at [Array.length csr_words].  Link records keep
-    their ids verbatim (unlike {!make}, which reassigns ids by list
-    position), so a topology whose link ids are sparse because
-    {!remove_links} ran round-trips exactly.  Every packed word is
-    validated against the link records.  The arrays become owned by
-    the topology — callers must not mutate them afterwards.  Unlike
-    the other constructors the boxed {!neighbors} rows are built
-    lazily (domain-safe memo), so a loader that only runs the packed
-    hot loops never allocates them.
+(** Reconstruct a topology from its links and CSR arena, as stored in
+    a snapshot.  Link records keep their ids verbatim (unlike {!make},
+    which reassigns ids by list position), so a topology whose link
+    ids are sparse because {!remove_links} ran round-trips exactly.
+    The arena is rebuilt from [links] the way every constructor builds
+    it, and [csr_off]/[csr_words] must equal the rebuilt arrays word
+    for word; they are only compared, never kept.
     @raise Invalid_argument on any inconsistency. *)
 
 val customers : t -> int -> int list
@@ -118,7 +120,11 @@ val degree : t -> int -> int
 
 val links_between : t -> int -> int -> Relation.link list
 (** All links between two ASes (multi-links at different metros are
-    allowed). *)
+    allowed), in row order. *)
+
+val link_ids_of : t -> ?metro:int -> int -> int list
+(** Ids of the links touching an AS, ascending; with [~metro], only
+    those interconnecting at that metro (a site's sessions). *)
 
 val add_as : t -> klass:Asn.klass -> name:string -> footprint:int array -> t * int
 (** Returns the extended topology and the new AS id. *)
@@ -126,7 +132,8 @@ val add_as : t -> klass:Asn.klass -> name:string -> footprint:int array -> t * i
 val add_links :
   t -> (int * int * Relation.kind * int * float) list -> t
 (** [(a, b, kind, metro, capacity)] tuples; ids are assigned
-    sequentially after the existing links. *)
+    sequentially after the largest existing id, so they stay unique
+    after {!remove_links}. *)
 
 val remove_links : t -> int list -> t
 (** Fail the links with the given ids: they disappear from the

@@ -17,12 +17,38 @@ let e_parent v = (v lsr 22) land 0xF_FFFF
 let e_link v = (v lsr 1) land 0x1F_FFFF
 let e_ne v = v land 1 = 1
 
+(* ---- the list adjacency ---------------------------------------------- *)
+
+type neighbor = { peer : int; rel : Relation.rel; link : Relation.link }
+
+(* Rows built by prepending each link to both endpoints' lists in
+   link-array order, straight from [Topology.links] — independent of
+   the CSR arena, whose rows must come out in the same order. *)
+let adjacency topo =
+  let adj = Array.make (Topology.as_count topo) [] in
+  Array.iter
+    (fun (l : Relation.link) ->
+      adj.(l.a) <-
+        { peer = l.b; rel = Relation.rel_of l l.a; link = l } :: adj.(l.a);
+      adj.(l.b) <-
+        { peer = l.a; rel = Relation.rel_of l l.b; link = l } :: adj.(l.b))
+    (Topology.links topo);
+  adj
+
+let neighbors topo x =
+  Array.fold_left
+    (fun acc (l : Relation.link) ->
+      if l.a = x || l.b = x then
+        { peer = Relation.other l x; rel = Relation.rel_of l x; link = l } :: acc
+      else acc)
+    [] (Topology.links topo)
+
 (* Seeds: announcements the origin sends on its own sessions, grouped
    by the class in which the receiving AS learns them. *)
 let seeds topo config ~klass =
   let origin = config.Announce.origin in
   List.filter_map
-    (fun (nb : Topology.neighbor) ->
+    (fun (nb : neighbor) ->
       let action = Announce.action_on config nb.link in
       let receiver_klass =
         match nb.rel with
@@ -38,7 +64,7 @@ let seeds topo config ~klass =
             nb.link,
             action.Announce.no_export )
       else None)
-    (Topology.neighbors topo origin)
+    (neighbors topo origin)
 
 (* ---- the Set-based reference ------------------------------------------ *)
 
@@ -58,6 +84,7 @@ type ref_entry = {
 
 let run topo config =
   let n = Topology.as_count topo in
+  let adj = adjacency topo in
   let origin = config.Announce.origin in
   let cust = Array.make n None in
   let peer = Array.make n None in
@@ -76,10 +103,10 @@ let run topo config =
         Some { r_len = len; r_parent = parent; r_link = link; r_ne = no_export };
       if not no_export then
         List.iter
-          (fun (nb : Topology.neighbor) ->
+          (fun (nb : neighbor) ->
             if nb.rel = Relation.To_provider && nb.peer <> origin then
               push pq (nb.peer, len + 1, target, nb.link, false))
-          (Topology.neighbors topo target)
+          adj.(target)
     end
   done;
   (* ---- Phase 2: peer-learned routes (single lateral step). ---- *)
@@ -107,7 +134,7 @@ let run topo config =
     | Some ex ->
         if not ex.r_ne then
           List.iter
-            (fun (nb : Topology.neighbor) ->
+            (fun (nb : neighbor) ->
               match nb.rel with
               | Relation.Priv_peer | Relation.Pub_peer ->
                   if nb.peer <> origin then begin
@@ -119,7 +146,7 @@ let run topo config =
                       peer.(nb.peer) <- Some candidate
                   end
               | Relation.To_customer | Relation.To_provider -> ())
-            (Topology.neighbors topo x)
+            adj.(x)
   done;
   (* ---- Phase 3: provider-learned routes (propagate downward). ---- *)
   let sel_fixed x = match cust.(x) with Some e -> Some e | None -> peer.(x) in
@@ -131,10 +158,10 @@ let run topo config =
     | Some ex ->
         if not ex.r_ne then
           List.iter
-            (fun (nb : Topology.neighbor) ->
+            (fun (nb : neighbor) ->
               if nb.rel = Relation.To_customer && nb.peer <> origin then
                 push pq (nb.peer, ex.r_len + 1, x, nb.link, false))
-            (Topology.neighbors topo x)
+            adj.(x)
   done;
   while not (Pq.is_empty !pq) do
     let ((len, parent, _, target, link, no_export) as elt) = Pq.min_elt !pq in
@@ -144,10 +171,10 @@ let run topo config =
         Some { r_len = len; r_parent = parent; r_link = link; r_ne = no_export };
       if sel_fixed target = None && not no_export then
         List.iter
-          (fun (nb : Topology.neighbor) ->
+          (fun (nb : neighbor) ->
             if nb.rel = Relation.To_customer && nb.peer <> origin then
               push pq (nb.peer, len + 1, target, nb.link, false))
-          (Topology.neighbors topo target)
+          adj.(target)
     end
   done;
   let pack_opt = function
@@ -182,7 +209,7 @@ let decision s x =
     let cands = Array.make 3 [] in
     let add cls v = cands.(cls) <- v :: cands.(cls) in
     List.iter
-      (fun (nb : Topology.neighbor) ->
+      (fun (nb : neighbor) ->
         let link = nb.link.Relation.id and y = nb.peer in
         let cls =
           match nb.rel with
@@ -202,7 +229,7 @@ let decision s x =
           if ex >= 0 && not (e_ne ex) then
             add cls (pack ~len:(e_len ex + 1) ~parent:y ~link ~ne:false)
         end)
-      (Topology.neighbors topo x);
+      (neighbors topo x);
     let sorted = Array.map (List.sort compare) cands in
     match List.find_opt (fun c -> sorted.(c) <> []) [ 0; 1; 2 ] with
     | None -> None

@@ -5,7 +5,25 @@
     entries, and {!decision} re-derives the provenance of every AS
     from the final routing tables alone.  The differential properties
     in the test suite and [bench/micro_propagate] hold the kernel to
-    both. *)
+    both.
+
+    The list adjacency below is the reference for the topology's CSR
+    arena: it is built from [Topology.links] alone. *)
+
+type neighbor = {
+  peer : int;  (** Neighboring AS id. *)
+  rel : Netsim_topo.Relation.rel;  (** Relation from this AS's perspective. *)
+  link : Netsim_topo.Relation.link;
+}
+
+val adjacency : Netsim_topo.Topology.t -> neighbor list array
+(** One boxed row per AS, built by prepending every link to both of
+    its endpoints' rows in link-array order, so a row lists its links
+    in reverse link-array order — the order the CSR arena must have. *)
+
+val neighbors : Netsim_topo.Topology.t -> int -> neighbor list
+(** [(adjacency topo).(x)], built for the one AS by a scan of the
+    links. *)
 
 val run : Netsim_topo.Topology.t -> Netsim_bgp.Announce.t -> Netsim_bgp.Propagate.state
 (** Compute routes from every AS to the configured origin with the

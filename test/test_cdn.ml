@@ -59,10 +59,10 @@ let test_deploy_transit_at_every_pop () =
      one transit session. *)
   let d = Lazy.force deployment in
   let transit_metros =
-    Topology.neighbors d.Deployment.topo d.Deployment.asid
-    |> List.filter_map (fun (nb : Topology.neighbor) ->
-           if nb.Topology.rel = Relation.To_provider then
-             Some nb.Topology.link.Relation.metro
+    Oracle.neighbors d.Deployment.topo d.Deployment.asid
+    |> List.filter_map (fun (nb : Oracle.neighbor) ->
+           if nb.Oracle.rel = Relation.To_provider then
+             Some nb.Oracle.link.Relation.metro
            else None)
   in
   List.iter

@@ -46,7 +46,7 @@ let test_remove_links_unknown_ignored () =
 let test_remove_links_of_as () =
   let t = topo () in
   let t' = Topology.remove_links_of_as t cp in
-  Alcotest.(check int) "cp isolated" 0 (List.length (Topology.neighbors t' cp));
+  Alcotest.(check int) "cp isolated" 0 (List.length (Oracle.neighbors t' cp));
   let s = Propagate.run t' (Announce.default ~origin:cp) in
   Alcotest.(check bool) "cp unreachable" false (Propagate.reachable s eb)
 

@@ -142,10 +142,10 @@ let prop_withholding_monotone =
       (* Withhold a random subset of the origin's sessions. *)
       let wrng = Sm.create wseed in
       let withheld =
-        Topology.neighbors topo origin
-        |> List.filter_map (fun (nb : Topology.neighbor) ->
+        Oracle.neighbors topo origin
+        |> List.filter_map (fun (nb : Oracle.neighbor) ->
                if Netsim_prng.Dist.bernoulli wrng ~p:0.5 then
-                 Some nb.Topology.link.Relation.id
+                 Some nb.Oracle.link.Relation.id
                else None)
       in
       let partial =

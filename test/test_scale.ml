@@ -169,12 +169,14 @@ let partition_consistent topo =
   done;
   !ok
 
-(* The CSR arena must agree with the list-based adjacency in content
-   and order, with offsets that tile the word array exactly, and the
-   class partition must agree with the arena. *)
+(* The CSR arena must agree with the oracle's list adjacency, built
+   from the link array alone, in content and order, with offsets that
+   tile the word array exactly, and the class partition must agree
+   with the arena. *)
 let csr_consistent topo =
   let n = Topology.as_count topo in
   let off = Topology.csr_offsets topo and wrd = Topology.csr_words topo in
+  let adj = Oracle.adjacency topo in
   Array.length off = n + 1
   && off.(0) = 0
   && off.(n) = Array.length wrd
@@ -183,11 +185,11 @@ let csr_consistent topo =
   let ok = ref true in
   for x = 0 to n - 1 do
     if off.(x) > off.(x + 1) then ok := false;
-    let nbs = Topology.neighbors topo x in
+    let nbs = adj.(x) in
     if List.length nbs <> off.(x + 1) - off.(x) then ok := false
     else
       List.iteri
-        (fun i (nb : Topology.neighbor) ->
+        (fun i (nb : Oracle.neighbor) ->
           let pn = wrd.(off.(x) + i) in
           if
             Topology.pn_peer pn <> nb.peer
@@ -214,6 +216,62 @@ let prop_removed_links_partition =
           [ lseed mod m; (lseed * 7) mod m; m + 5; -1 ]
       in
       csr_consistent failed && csr_consistent topo)
+
+(* Every constructor against the oracle: random dense-id link arrays,
+   then a random [remove_links] set (with unknown ids mixed in), then
+   [add_as] and [add_links] on the sparse-id result, then one more
+   removal.  After each step the arena must equal the oracle's rows
+   in content and order, and the partition must agree with it. *)
+let prop_constructors_match_oracle =
+  QCheck.Test.make ~name:"every constructor builds the oracle's rows"
+    ~count:200
+    QCheck.(triple (int_range 2 40) (int_range 0 120) (int_range 0 100_000))
+    (fun (n, m, seed) ->
+      let rng = Sm.create seed in
+      let kinds =
+        [| Relation.C2p; Relation.Peer_private; Relation.Peer_public |]
+      in
+      let random_spec ?a () =
+        let a = match a with Some a -> a | None -> Sm.next_int rng n in
+        let b = (a + 1 + Sm.next_int rng (n - 1)) mod n in
+        (a, b, kinds.(Sm.next_int rng 3), Sm.next_int rng 4, 1.)
+      in
+      let ases =
+        Array.init n (fun id ->
+            { Asn.id; klass = Asn.Transit; name = ""; footprint = [| 0 |] })
+      in
+      let links =
+        List.init m (fun _ ->
+            let a, b, kind, metro, capacity_gbps = random_spec () in
+            { Relation.id = 0; a; b; kind; metro; capacity_gbps })
+      in
+      let t0 = Topology.make ases links in
+      let coin p = Sm.next_float rng < p in
+      let drop t =
+        Array.fold_left
+          (fun acc (l : Relation.link) ->
+            if coin 0.3 then l.Relation.id :: acc else acc)
+          [ -1; Topology.link_count t0 + 3 ]
+          (Topology.links t)
+      in
+      let t1 = Topology.remove_links t0 (drop t0) in
+      let t2, cdn =
+        Topology.add_as t1 ~klass:Asn.Content ~name:"cdn" ~footprint:[| 0 |]
+      in
+      let t3 =
+        Topology.add_links t2
+          (List.init (Sm.next_int rng 8) (fun _ ->
+               if coin 0.5 then random_spec ~a:cdn () else random_spec ()))
+      in
+      let t4 = Topology.remove_links t3 (drop t3) in
+      let ids_known t =
+        Array.for_all
+          (fun (l : Relation.link) -> Topology.link t l.Relation.id = l)
+          (Topology.links t)
+      in
+      List.for_all
+        (fun t -> csr_consistent t && ids_known t)
+        [ t0; t1; t2; t3; t4 ])
 
 let test_shapes_total () =
   let ok_and_valid shape label =
@@ -320,6 +378,7 @@ let suite =
       prop_batch_provenance_through_cache;
       prop_random_shapes_never_raise;
       prop_removed_links_partition;
+      prop_constructors_match_oracle;
     ]
   @ [
       Alcotest.test_case "degenerate shapes build valid CSR arenas" `Quick

@@ -453,6 +453,14 @@ let test_rejects_corrupt_v2 () =
   (* A corrupted section-table entry (first section offset / count). *)
   expect_error "v2 corrupt section offset" (Snapshot.of_bytes (flip 24));
   expect_error "v2 corrupt section count" (Snapshot.of_bytes (flip 32));
+  (* A CSR section whose second word repeats the first: every word
+     still names a link of its row, but the arena is not the one the
+     link records build. *)
+  let words_at = Int64.to_int (String.get_int64_le bytes 40) in
+  let repeated = Bytes.of_string bytes in
+  Bytes.blit_string bytes words_at repeated (words_at + 8) 8;
+  expect_error "v2 repeated CSR word"
+    (Snapshot.of_bytes (Bytes.to_string repeated));
   (* Corrupt files must also fail cleanly through the mmap load path
      (a distinct decoder surface from of_bytes). *)
   let write_file data =

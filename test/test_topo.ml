@@ -276,12 +276,16 @@ let test_invariants_detect_missing_clique () =
 
 (* ---- CSR arena consistency across constructors ---- *)
 
-(* Every constructor must leave the shared CSR arena in lockstep with
-   the list adjacency: offsets tile the word array, rows decode to the
-   same sessions in the same order. *)
+let check = Alcotest.(check bool)
+
+(* Every constructor must leave the CSR arena in lockstep with the
+   list adjacency the oracle builds from [Topology.links] alone:
+   offsets tile the word array, rows decode to the same sessions in
+   the same order. *)
 let check_csr_matches_lists topo =
   let n = Topology.as_count topo in
   let off = Topology.csr_offsets topo and wrd = Topology.csr_words topo in
+  let adj = Oracle.adjacency topo in
   Alcotest.(check int) "offsets length" (n + 1) (Array.length off);
   Alcotest.(check int) "words = 2 * links" (2 * Topology.link_count topo)
     (Array.length wrd);
@@ -290,15 +294,14 @@ let check_csr_matches_lists topo =
     let row = Array.sub wrd off.(x) (off.(x + 1) - off.(x)) in
     Alcotest.(check int)
       (Printf.sprintf "row %d width" x)
-      (List.length (Topology.neighbors topo x))
-      (Array.length row);
+      (List.length adj.(x)) (Array.length row);
     List.iteri
-      (fun i (nb : Topology.neighbor) ->
+      (fun i (nb : Oracle.neighbor) ->
         Alcotest.(check int) "peer" nb.peer (Topology.pn_peer row.(i));
         Alcotest.(check int) "link id" nb.link.Relation.id
           (Topology.pn_link row.(i));
         Alcotest.(check bool) "rel" true (Topology.pn_rel row.(i) = nb.rel))
-      (Topology.neighbors topo x)
+      adj.(x)
   done
 
 let test_csr_fixture () = check_csr_matches_lists (Fixture.topo ())
@@ -329,12 +332,64 @@ let test_csr_after_add_as () =
   in
   check_csr_matches_lists linked
 
-(* of_csr: the zero-copy constructor the mmap snapshot loader uses.
-   Rebuilding a topology from its own CSR arena must reproduce the
-   boxed adjacency exactly (rows decode lazily), and inconsistent
-   arenas must be rejected. *)
-let test_of_csr_roundtrip () =
+(* [link] finds records by id, also once [remove_links] has left the
+   ids sparse, and [add_links] then numbers new links past the
+   largest id instead of reusing one. *)
+let test_link_by_id () =
   let topo = Fixture.topo () in
+  Array.iter
+    (fun (l : Relation.link) ->
+      check "dense id" true (Topology.link topo l.Relation.id == l))
+    (Topology.links topo);
+  let failed = Topology.remove_links topo [ Fixture.l_t1_peer ] in
+  Array.iter
+    (fun (l : Relation.link) ->
+      check "sparse id" true (Topology.link failed l.Relation.id = l))
+    (Topology.links failed);
+  let unknown id =
+    match Topology.link failed id with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  check "removed id unknown" true (unknown Fixture.l_t1_peer);
+  check "negative id unknown" true (unknown (-1));
+  check "id past the end unknown" true (unknown (Topology.link_count topo));
+  let grown =
+    Topology.add_links failed
+      [ (Fixture.st, Fixture.eb, Relation.C2p, Fixture.chicago, 1.) ]
+  in
+  let fresh = (Topology.links grown).(Topology.link_count grown - 1) in
+  Alcotest.(check int) "new id past the largest" (Topology.link_count topo)
+    fresh.Relation.id;
+  check_csr_matches_lists grown
+
+(* The "links of an AS at a metro" helper returns ascending ids. *)
+let test_link_ids_of () =
+  let topo = Fixture.topo () in
+  let expect ?metro x =
+    Oracle.neighbors topo x
+    |> List.filter_map (fun (nb : Oracle.neighbor) ->
+           match metro with
+           | Some m when nb.link.Relation.metro <> m -> None
+           | Some _ | None -> Some nb.link.Relation.id)
+    |> List.sort compare
+  in
+  for x = 0 to Topology.as_count topo - 1 do
+    Alcotest.(check (list int))
+      "all links" (expect x)
+      (Topology.link_ids_of topo x);
+    List.iter
+      (fun m ->
+        Alcotest.(check (list int)) "links at metro" (expect ~metro:m x)
+          (Topology.link_ids_of topo ~metro:m x))
+      [ Fixture.ny; Fixture.chicago ]
+  done
+
+(* of_csr: the constructor the mmap snapshot loader uses.  Rebuilding
+   a topology from its own CSR arena must reproduce it exactly, and
+   any other arena must be rejected. *)
+let test_of_csr_roundtrip () =
+  let topo = Topology.remove_links (Fixture.topo ()) [ Fixture.l_eb_tr ] in
   let rebuilt =
     Topology.of_csr
       ~ases:(Array.copy (Topology.ases topo))
@@ -343,12 +398,13 @@ let test_of_csr_roundtrip () =
       ~csr_words:(Array.copy (Topology.csr_words topo))
   in
   check_csr_matches_lists rebuilt;
-  for x = 0 to Topology.as_count topo - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "row %d equal" x)
-      true
-      (Topology.neighbors rebuilt x = Topology.neighbors topo x)
-  done
+  check "same offsets" true
+    (Topology.csr_offsets rebuilt = Topology.csr_offsets topo);
+  check "same words" true (Topology.csr_words rebuilt = Topology.csr_words topo);
+  Array.iter
+    (fun (l : Relation.link) ->
+      check "same link by id" true (Topology.link rebuilt l.Relation.id = l))
+    (Topology.links topo)
 
 let test_of_csr_rejects_inconsistent () =
   let topo = Fixture.topo () in
@@ -378,6 +434,21 @@ let test_of_csr_rejects_inconsistent () =
   expect_invalid "negative word" (fun () ->
       let bad = Array.copy wrd in
       bad.(0) <- -1;
+      Topology.of_csr ~ases ~links ~csr_off:off ~csr_words:bad);
+  (* Row 0 loses its first word, or holds it twice; the later offsets
+     shift so the arena still tiles.  Every word still names a link
+     of its row, but the arena no longer has 2 words per link. *)
+  let shifted d = Array.mapi (fun x o -> if x = 0 then o else o + d) off in
+  expect_invalid "dropped word" (fun () ->
+      let bad = Array.sub wrd 1 (Array.length wrd - 1) in
+      Topology.of_csr ~ases ~links ~csr_off:(shifted (-1)) ~csr_words:bad);
+  expect_invalid "repeated word" (fun () ->
+      let bad = Array.append [| wrd.(0) |] wrd in
+      Topology.of_csr ~ases ~links ~csr_off:(shifted 1) ~csr_words:bad);
+  expect_invalid "row out of order" (fun () ->
+      let bad = Array.copy wrd in
+      bad.(0) <- wrd.(1);
+      bad.(1) <- wrd.(0);
       Topology.of_csr ~ases ~links ~csr_off:off ~csr_words:bad)
 
 let suite =
@@ -419,4 +490,6 @@ let suite =
       test_of_csr_rejects_inconsistent;
     Alcotest.test_case "CSR rebuilt by remove_links" `Quick test_csr_after_remove_links;
     Alcotest.test_case "CSR extended by add_as/add_links" `Quick test_csr_after_add_as;
+    Alcotest.test_case "link by id" `Quick test_link_by_id;
+    Alcotest.test_case "link_ids_of" `Quick test_link_ids_of;
   ]

@@ -55,10 +55,10 @@ let announce_shape topo origin cseed =
   | 0 -> base
   | 1 ->
       let wrng = Netsim_prng.Splitmix.create cseed in
-      Topology.neighbors topo origin
-      |> List.filter_map (fun (nb : Topology.neighbor) ->
+      Oracle.neighbors topo origin
+      |> List.filter_map (fun (nb : Oracle.neighbor) ->
              if Netsim_prng.Dist.bernoulli wrng ~p:0.3 then
-               Some nb.Topology.link.Relation.id
+               Some nb.Oracle.link.Relation.id
              else None)
       |> Announce.withhold_links base
   | 2 ->
