@@ -39,8 +39,8 @@ verify: build test
 	diff -u /tmp/beatbgp_all_d1.out /tmp/beatbgp_all_d4.out
 	NETSIM_DOMAINS=4 dune exec bin/beatbgp_cli.exe -- all --small --no-rib-cache > /tmp/beatbgp_all_d4_nocache.out
 	diff -u /tmp/beatbgp_all_d1.out /tmp/beatbgp_all_d4_nocache.out
-	# Internet-scale batching: the scale sweep (with its differential
-	# batched-vs-sequential check on) must match the golden transcript
+	# Internet-scale sweep: the scale sweep (with its cache-and-pool
+	# differential check on) must match the golden transcript
 	# byte-for-byte across cache on/off and 1 vs 4 domains.
 	NETSIM_DOMAINS=1 dune exec bin/beatbgp_cli.exe -- scale --small --check > /tmp/beatbgp_scale_d1.out
 	diff -u test/golden/scale_small.txt /tmp/beatbgp_scale_d1.out
@@ -50,6 +50,14 @@ verify: build test
 	diff -u test/golden/scale_small.txt /tmp/beatbgp_scale_d4.out
 	NETSIM_DOMAINS=4 dune exec bin/beatbgp_cli.exe -- scale --small --check --no-rib-cache > /tmp/beatbgp_scale_d4_nocache.out
 	diff -u test/golden/scale_small.txt /tmp/beatbgp_scale_d4_nocache.out
+	# Chunk size is the unit of parallel work, never the result: at 1
+	# and 64 origins per pool task the transcript must equal the golden
+	# with only its "batch size N" line masked on both sides.
+	sed 's/batch size [0-9]*/batch size N/' test/golden/scale_small.txt > /tmp/beatbgp_scale_masked.txt
+	dune exec bin/beatbgp_cli.exe -- scale --small --check --batch 1 | sed 's/batch size [0-9]*/batch size N/' > /tmp/beatbgp_scale_b1.out
+	diff -u /tmp/beatbgp_scale_masked.txt /tmp/beatbgp_scale_b1.out
+	dune exec bin/beatbgp_cli.exe -- scale --small --check --batch 64 | sed 's/batch size [0-9]*/batch size N/' > /tmp/beatbgp_scale_b64.out
+	diff -u /tmp/beatbgp_scale_masked.txt /tmp/beatbgp_scale_b64.out
 	# Flight-recorder determinism: the event log must be byte-identical
 	# run-to-run and across domain counts.
 	NETSIM_DOMAINS=1 dune exec bin/beatbgp_cli.exe -- dynamics --small --event-log /tmp/beatbgp_events_a.jsonl > /dev/null

@@ -1,4 +1,4 @@
-(* Microbenchmark of internet-scale batched multi-origin propagation:
+(* Microbenchmark of internet-scale multi-origin propagation:
 
      dune exec bench/micro_scale.exe -- [--out FILE] [--history FILE]
        [--gate] [--gate-trend] [--origins N] [sweeps]
@@ -9,9 +9,11 @@
    any timing — and reports the median wall time of [sweeps] timed
    sweeps each (at least 3, default 3, after one warm-up; a single
    reading follows GC heap growth), throughput in AS-states computed
-   per second, the batched-over-sequential speedup and the process's
-   peak RSS.  Both sweeps run the same level-drain
-   kernel, so the speedup is what batching alone buys.  Writes the
+   per second, the batched-over-sequential ratio and the process's
+   peak RSS.  [run_batch] is one single-origin kernel call per config
+   inside one span, so both sweeps do the same work and the ratio
+   reads ~1.0: it shows that the batch wrapper costs nothing, not a
+   speedup.  Writes the
    numbers as JSON (default BENCH_scale.json) and appends a history
    record to BENCH_history.jsonl under bench "scale" with a
    per-workload variant tag, so differently-sized runs never gate

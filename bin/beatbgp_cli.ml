@@ -620,28 +620,31 @@ let scale_cmd =
       value
       & opt (some int) None
       & info [ "batch" ] ~docv:"N"
-          ~doc:"Origins per batched propagation (default: 16).")
+          ~doc:
+            "Origins per pool task (default: 16).  Sets the unit of \
+             parallel work; the output is the same at any value.")
   in
   let check_t =
     Arg.(
       value & flag
       & info [ "check" ]
           ~doc:
-            "Differentially verify every batched state against an \
-             independent sequential propagation of the same origin.")
+            "Recompute every state with an independent propagation \
+             outside the RIB cache and the pool, and compare.")
   in
-  let doc = "Internet-scale batched multi-origin propagation" in
+  let doc = "Internet-scale multi-origin propagation" in
   let man =
     [
       `S Manpage.s_description;
       `P
         "Generates an Internet-scale topology (~75k ASes by default; \
          ~600 with $(b,--small)), propagates a spread of stub prefixes \
-         through the batched multi-origin engine, and reports aggregate \
-         reachability, path-length and route-class statistics.  Output is \
-         byte-identical for any $(b,--domains) value and RIB-cache \
-         setting; with $(b,--check) the batched states are proven equal \
-         to sequential propagation end to end.";
+         over the domain pool in chunks of $(b,--batch) origins, and \
+         reports aggregate reachability, path-length and route-class \
+         statistics.  Output is byte-identical for any $(b,--domains) \
+         value, $(b,--batch) value and RIB-cache setting; with \
+         $(b,--check) every state is compared with a propagation run \
+         outside the cache and the pool.";
     ]
   in
   Cmd.v

@@ -2,18 +2,10 @@ module Topology = Netsim_topo.Topology
 module Relation = Netsim_topo.Relation
 module Provenance = Netsim_obs.Provenance
 
-type entry = {
-  len : int;
-  parent : int;
-  link : Relation.link;
-  no_export : bool;
-      (** The route carries NO_EXPORT: usable here, never re-exported. *)
-}
-
 (* ---- bit-packed routing entries -------------------------------------- *)
 
 (* Per-AS, per-class routing state lives in flat int arrays instead of
-   [entry option array]s: one immediate word per entry, no pointer
+   arrays of boxed records: one immediate word per entry, no pointer
    chasing and no per-entry allocation in the hot loops.  Layout (an
    empty slot is -1, so the sign bit doubles as the presence flag):
 
@@ -51,26 +43,22 @@ let topology s = s.topo
 let config s = s.config
 let origin s = s.config.Announce.origin
 
-let entry_of s v =
-  {
-    len = e_len v;
-    parent = e_parent v;
-    link = Topology.link s.topo (e_link v);
-    no_export = e_ne v;
-  }
-
-let get s (arr : int array) x =
-  let v = arr.(x) in
-  if v < 0 then None else Some (entry_of s v)
+(* The selected class of AS [x] over the three tables: 0 customer, 1
+   peer, 2 provider, -1 none (the origin never holds an entry). *)
+let[@inline] sel_cls (cust : int array) (peer : int array) (prov : int array)
+    x =
+  if cust.(x) >= 0 then 0
+  else if peer.(x) >= 0 then 1
+  else if prov.(x) >= 0 then 2
+  else -1
 
 (* ---- level queue ------------------------------------------------------ *)
 
-(* Export candidates queue up in per-(path length, origin) buckets:
-   lengths only ever grow by one hop, so the scan over lengths is
-   monotone, and every push from level [len] lands in level [len + 1],
-   so a level is complete when the scan reaches it.  A queued
-   candidate is one packed int (the level carries the length and the
-   bucket the origin):
+(* Export candidates queue up in per-path-length buckets: lengths only
+   ever grow by one hop, so the scan over lengths is monotone, and
+   every push from level [len] lands in level [len + 1], so a level is
+   complete when the scan reaches it.  A queued candidate is one packed
+   int (the bucket carries the length):
 
      bit  0      no_export
      bits 1-20   target AS id
@@ -80,8 +68,7 @@ let get s (arr : int array) x =
    Buckets stay unsorted: [drain] settles each target by its minimum
    candidate, and ascending int order is (parent, link, target) — at
    equal length exactly the route preference — so arrival order
-   within a level is unobservable, and so is interleaving across
-   origins, whose entries only touch their own slots. *)
+   within a level is unobservable. *)
 
 let q_pack ~parent ~link ~target ~ne =
   (parent lsl 42) lor (link lsl 21) lor (target lsl 1)
@@ -93,72 +80,54 @@ let q_target v = (v lsr 1) land 0xF_FFFF
 let q_ne v = v land 1 = 1
 
 type levels = {
-  k : int;  (** origins: buckets per level *)
-  mutable buckets : int array array array;  (** [len].(org) packed words *)
-  mutable sizes : int array array;  (** [len].(org) fill count *)
-  mutable level : int array;  (** pending words per length *)
+  mutable buckets : int array array;  (** [len] packed words *)
+  mutable sizes : int array;  (** [len] fill count *)
   mutable cur : int;  (** levels below this are drained *)
   mutable pending : int;
 }
 
-let levels_create k =
-  {
-    k;
-    buckets = Array.make 16 [||];
-    sizes = Array.make 16 [||];
-    level = Array.make 16 0;
-    cur = 0;
-    pending = 0;
-  }
+let levels_create () =
+  { buckets = Array.make 16 [||]; sizes = Array.make 16 0; cur = 0;
+    pending = 0 }
 
-let levels_push q ~len ~org packed =
+let levels_push q ~len packed =
   if len < 0 || len > max_path_len then
     invalid_arg "Propagate: path length out of packed range";
   if len < q.cur then invalid_arg "Propagate: non-monotone queue push";
   let cap = Array.length q.buckets in
   if len >= cap then begin
     let ncap = Stdlib.max (len + 1) (2 * cap) in
-    let nb = Array.make ncap [||]
-    and ns = Array.make ncap [||]
-    and nl = Array.make ncap 0 in
+    let nb = Array.make ncap [||] and ns = Array.make ncap 0 in
     Array.blit q.buckets 0 nb 0 cap;
     Array.blit q.sizes 0 ns 0 cap;
-    Array.blit q.level 0 nl 0 cap;
     q.buckets <- nb;
-    q.sizes <- ns;
-    q.level <- nl
+    q.sizes <- ns
   end;
-  if Array.length q.sizes.(len) = 0 then begin
-    q.buckets.(len) <- Array.make q.k [||];
-    q.sizes.(len) <- Array.make q.k 0
-  end;
-  let row = q.buckets.(len) and szs = q.sizes.(len) in
-  let b = row.(org) and sz = szs.(org) in
+  let b = q.buckets.(len) and sz = q.sizes.(len) in
   let b =
     if sz = Array.length b then begin
       let nb = Array.make (Stdlib.max 8 (2 * sz)) 0 in
       Array.blit b 0 nb 0 sz;
-      row.(org) <- nb;
+      q.buckets.(len) <- nb;
       nb
     end
     else b
   in
   b.(sz) <- packed;
-  szs.(org) <- sz + 1;
-  q.level.(len) <- q.level.(len) + 1;
+  q.sizes.(len) <- sz + 1;
   q.pending <- q.pending + 1
 
-(* Open the next non-empty level: returns the length and the
-   per-origin buckets and fills, and marks the level consumed. *)
+(* Open the next non-empty level: returns its length, bucket and fill,
+   and marks the level consumed. *)
 let levels_next q =
-  while q.level.(q.cur) = 0 do
+  while q.sizes.(q.cur) = 0 do
     q.cur <- q.cur + 1
   done;
-  let len = q.cur in
-  q.pending <- q.pending - q.level.(len);
-  q.level.(len) <- 0;
+  let len = q.cur and sz = q.sizes.(q.cur) in
+  q.pending <- q.pending - sz;
+  q.sizes.(len) <- 0;
   q.cur <- len + 1;
-  (len, q.buckets.(len), q.sizes.(len))
+  (len, q.buckets.(len), sz)
 
 (* Seeds: announcements the origin sends on its own sessions, grouped
    by the class in which the receiving AS learns them. *)
@@ -230,12 +199,7 @@ let record_provenance_stats ~tracing n ~origin pva cust peer prov =
   if tracing then
     for x = 0 to n - 1 do
       if x <> origin then begin
-        let cls =
-          if cust.(x) >= 0 then 0
-          else if peer.(x) >= 0 then 1
-          else if prov.(x) >= 0 then 2
-          else -1
-        in
+        let cls = sel_cls cust peer prov x in
         if cls >= 0 then begin
           let winner =
             match cls with 0 -> cust.(x) | 1 -> peer.(x) | _ -> prov.(x)
@@ -255,225 +219,173 @@ let record_provenance_stats ~tracing n ~origin pva cust peer prov =
    dirty rows, so it never needs the new topology's partition. *)
 type receivers = All | Dirty of bool array * Relation.rel
 
-(* Drain [q] level by level into the class table [table] (stride [k]:
-   origin [o]'s entry for AS [x] is [table.(x * k + o)]).  A settle
+(* Drain [q] level by level into the class table [table].  A settle
    pass keeps each target's minimum candidate — the route preference,
    see the queue comment — and writes the newly settled targets back
    into the bucket's prefix; an export pass then pushes, at [len + 1],
-   from each newly settled target for which [exports idx] holds, over
-   its adjacency rows [seg_off]/[seg_words] to the ASes [recv] admits.
+   from each newly settled target for which [exports] holds, over its
+   adjacency rows [seg_off]/[seg_words] to the ASes [recv] admits.
    Exports only depend on the final winner, which is already known.
 
-   Provenance, when [pvas] is non-empty: every arrival is counted, and
-   the two-minima settle offers every candidate but the minimum as a
+   Provenance, when [pva] is given: every arrival is counted, and the
+   two-minima settle offers every candidate but the minimum as a
    runner-up (each comparison permanently discards one), so the arena
    is independent of arrival order. *)
-let drain q ~k ~origins ~table ~seg_off ~seg_words ~exports ~recv ~tracing
-    ~pvas ~cls =
-  let pv_on = Array.length pvas > 0 in
+let drain q ~origin ~table ~seg_off ~seg_words ~exports ~recv ~tracing ~pva
+    ~cls =
   while q.pending > 0 do
-    let len, row, szs = levels_next q in
-    for org = 0 to k - 1 do
-      let sz = szs.(org) in
-      if sz > 0 then begin
-        let b = row.(org) in
-        szs.(org) <- 0;
-        let origin = origins.(org) in
-        let settled = ref 0 in
-        for i = 0 to sz - 1 do
-          let v = b.(i) in
-          let target = q_target v in
-          if target <> origin then begin
-            let idx = (target * k) + org in
-            let cand =
-              e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v)
-            in
-            let cur = table.(idx) in
-            if pv_on then Provenance.count pvas.(org) ~cls target;
-            if cur < 0 then begin
-              table.(idx) <- cand;
-              b.(!settled) <- target;
-              incr settled
-            end
-            else begin
-              if cand < cur then table.(idx) <- cand;
-              if pv_on then
-                Provenance.offer pvas.(org) ~cls target
-                  (if cand < cur then cur else cand)
-            end
-          end
-        done;
-        for i = 0 to !settled - 1 do
-          let target = b.(i) in
-          if exports ((target * k) + org) then
-            for j = seg_off.(target) to seg_off.(target + 1) - 1 do
-              let pn = seg_words.(j) in
-              let next = Topology.pn_peer pn in
-              let admitted =
-                match recv with
-                | All -> true
-                | Dirty (mask, rel) ->
-                    (* Constant constructors: [==] compares immediates. *)
-                    mask.(next) && Topology.pn_rel pn == rel
-              in
-              if admitted && next <> origin then begin
-                if tracing then Netsim_obs.Metrics.incr c_exported;
-                levels_push q ~len:(len + 1) ~org
-                  (q_pack ~parent:target ~link:(Topology.pn_link pn)
-                     ~target:next ~ne:false)
-              end
-            done
-        done
+    let len, b, sz = levels_next q in
+    let settled = ref 0 in
+    for i = 0 to sz - 1 do
+      let v = b.(i) in
+      let target = q_target v in
+      if target <> origin then begin
+        let cand =
+          e_pack ~len ~parent:(q_parent v) ~link:(q_link v) ~ne:(q_ne v)
+        in
+        let cur = table.(target) in
+        (match pva with Some a -> Provenance.count a ~cls target | None -> ());
+        if cur < 0 then begin
+          table.(target) <- cand;
+          b.(!settled) <- target;
+          incr settled
+        end
+        else begin
+          if cand < cur then table.(target) <- cand;
+          match pva with
+          | Some a ->
+              Provenance.offer a ~cls target (if cand < cur then cur else cand)
+          | None -> ()
+        end
       end
+    done;
+    for i = 0 to !settled - 1 do
+      let target = b.(i) in
+      if exports target then
+        for j = seg_off.(target) to seg_off.(target + 1) - 1 do
+          let pn = seg_words.(j) in
+          let next = Topology.pn_peer pn in
+          let admitted =
+            match recv with
+            | All -> true
+            | Dirty (mask, rel) ->
+                (* Constant constructors: [==] compares immediates. *)
+                mask.(next) && Topology.pn_rel pn == rel
+          in
+          if admitted && next <> origin then begin
+            if tracing then Netsim_obs.Metrics.incr c_exported;
+            levels_push q ~len:(len + 1)
+              (q_pack ~parent:target ~link:(Topology.pn_link pn) ~target:next
+                 ~ne:false)
+          end
+        done
     done
   done
 
-(* Phase 2's update of origin [o]'s peer slot for [target] (stride
-   [k]).  Provenance here is the classic two-minima update: when a new
-   best displaces the current entry, the displaced entry is offered as
-   runner-up (it beat every earlier loser); otherwise the candidate
-   itself lost.  Order-independent either way. *)
-let offer_peer (bp : int array) pvas ~k o target cand =
-  let idx = (target * k) + o in
-  let cur = bp.(idx) in
-  if Array.length pvas > 0 then begin
-    Provenance.count pvas.(o) ~cls:1 target;
-    if cur >= 0 then
-      Provenance.offer pvas.(o) ~cls:1 target (if cand < cur then cur else cand)
-  end;
-  if cur < 0 || cand < cur then bp.(idx) <- cand
+(* Phase 2's update of the peer slot of [target].  Provenance here is
+   the classic two-minima update: when a new best displaces the
+   current entry, the displaced entry is offered as runner-up (it beat
+   every earlier loser); otherwise the candidate itself lost.
+   Order-independent either way. *)
+let offer_peer (bp : int array) pva target cand =
+  let cur = bp.(target) in
+  (match pva with
+  | Some a ->
+      Provenance.count a ~cls:1 target;
+      if cur >= 0 then
+        Provenance.offer a ~cls:1 target (if cand < cur then cur else cand)
+  | None -> ());
+  if cur < 0 || cand < cur then bp.(target) <- cand
 
 (* ---- propagation ------------------------------------------------------ *)
 
-(* The one propagation kernel: sweeps the origins of [configs] through
-   the three Gao–Rexford phases in one pass and returns one state per
-   config.  Origins never interact — each reads and writes only its
-   own slots — so every state equals a run of its config alone.  Entry
-   state lives in stride-k flat arrays (class.(x * k + o)) so the
-   inner origin loops stay on adjacent words; the phase-2 lateral and
-   phase-3 boundary sweeps walk each adjacency row once, origins
-   inner; sweeps and drains walk only the words of the relation class
-   they export to (the topology's partitioned arena).  Opens no span
-   and bumps no batch counter: [run] and [run_batch] own those. *)
-let kernel ~tracing ~pv_on topo configs =
-  let k = Array.length configs in
+(* The one propagation kernel: the three Gao–Rexford phases for one
+   config.  Entry state lives in flat per-class tables indexed by AS;
+   the phase-2 lateral and phase-3 boundary sweeps walk each adjacency
+   row once, and sweeps and drains walk only the words of the relation
+   class they export to (the topology's partitioned arena).  Opens no
+   span and bumps no batch counter: [run] and [run_batch] own those. *)
+let kernel ~tracing ~pv_on topo config =
   let n = Topology.as_count topo in
   let part = Topology.partition topo in
-  let origins = Array.map (fun c -> c.Announce.origin) configs in
-  let pvas =
-    if pv_on then Array.init k (fun _ -> Provenance.create n) else [||]
-  in
-  let bc = Array.make (n * k) (-1)
-  and bp = Array.make (n * k) (-1)
-  and bv = Array.make (n * k) (-1) in
+  let origin = config.Announce.origin in
+  let pva = if pv_on then Some (Provenance.create n) else None in
+  let bc = Array.make n (-1)
+  and bp = Array.make n (-1)
+  and bv = Array.make n (-1) in
   let push_seeds q ~klass =
-    for o = 0 to k - 1 do
-      List.iter
-        (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-          if tracing then Netsim_obs.Metrics.incr c_exported;
-          levels_push q ~len ~org:o
-            (q_pack ~parent:origins.(o) ~link:link.Relation.id ~target ~ne))
-        (seeds topo configs.(o) ~klass)
-    done
-  in
-  (* ---- Phase 1: customer-learned routes, exported up. ---- *)
-  let q = levels_create k in
-  push_seeds q ~klass:Route.Customer;
-  drain q ~k ~origins ~table:bc ~seg_off:part.Topology.up_off
-    ~seg_words:part.Topology.up_words
-    ~exports:(fun idx -> not (e_ne bc.(idx)))
-    ~recv:All ~tracing ~pvas ~cls:0;
-  (* ---- Phase 2: peer-learned routes (single lateral step). ---- *)
-  for o = 0 to k - 1 do
     List.iter
       (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-        if target <> origins.(o) then
-          offer_peer bp pvas ~k o target
-            (e_pack ~len ~parent:origins.(o) ~link:link.Relation.id ~ne))
-      (seeds topo configs.(o) ~klass:Route.Peer)
-  done;
+        if tracing then Netsim_obs.Metrics.incr c_exported;
+        levels_push q ~len
+          (q_pack ~parent:origin ~link:link.Relation.id ~target ~ne))
+      (seeds topo config ~klass)
+  in
+  (* ---- Phase 1: customer-learned routes, exported up. ---- *)
+  let q = levels_create () in
+  push_seeds q ~klass:Route.Customer;
+  drain q ~origin ~table:bc ~seg_off:part.Topology.up_off
+    ~seg_words:part.Topology.up_words
+    ~exports:(fun x -> not (e_ne bc.(x)))
+    ~recv:All ~tracing ~pva ~cls:0;
+  (* ---- Phase 2: peer-learned routes (single lateral step). ---- *)
+  List.iter
+    (fun (target, len, (_ : int), (link : Relation.link), ne) ->
+      if target <> origin then
+        offer_peer bp pva target
+          (e_pack ~len ~parent:origin ~link:link.Relation.id ~ne))
+    (seeds topo config ~klass:Route.Peer);
   let lat_off = part.Topology.lat_off and lat_w = part.Topology.lat_words in
   for x = 0 to n - 1 do
-    if lat_off.(x + 1) > lat_off.(x) then
-      for o = 0 to k - 1 do
-        let ex = bc.((x * k) + o) in
-        if ex >= 0 && not (e_ne ex) then
-          for i = lat_off.(x) to lat_off.(x + 1) - 1 do
-            let pn = lat_w.(i) in
-            let lateral = Topology.pn_peer pn in
-            if lateral <> origins.(o) then
-              offer_peer bp pvas ~k o lateral
-                (e_pack ~len:(e_len ex + 1) ~parent:x
-                   ~link:(Topology.pn_link pn) ~ne:false)
-          done
+    let ex = bc.(x) in
+    if ex >= 0 && not (e_ne ex) then
+      for i = lat_off.(x) to lat_off.(x + 1) - 1 do
+        let pn = lat_w.(i) in
+        let lateral = Topology.pn_peer pn in
+        if lateral <> origin then
+          offer_peer bp pva lateral
+            (e_pack ~len:(e_len ex + 1) ~parent:x ~link:(Topology.pn_link pn)
+               ~ne:false)
       done
   done;
   (* ---- Phase 3: provider-learned routes, exported down. ---- *)
-  let q = levels_create k in
+  let q = levels_create () in
   push_seeds q ~klass:Route.Provider;
   (* ASes whose selection is already final (a customer or peer route)
      export to their customers regardless of phase-3 progress. *)
   let down_off = part.Topology.down_off and down_w = part.Topology.down_words in
   for x = 0 to n - 1 do
-    if down_off.(x + 1) > down_off.(x) then
-      for o = 0 to k - 1 do
-        let c = bc.((x * k) + o) in
-        let ex = if c >= 0 then c else bp.((x * k) + o) in
-        if ex >= 0 && not (e_ne ex) then
-          for i = down_off.(x) to down_off.(x + 1) - 1 do
-            let pn = down_w.(i) in
-            let down = Topology.pn_peer pn in
-            if down <> origins.(o) then begin
-              if tracing then Netsim_obs.Metrics.incr c_exported;
-              levels_push q ~len:(e_len ex + 1) ~org:o
-                (q_pack ~parent:x ~link:(Topology.pn_link pn) ~target:down
-                   ~ne:false)
-            end
-          done
+    let ex = if bc.(x) >= 0 then bc.(x) else bp.(x) in
+    if ex >= 0 && not (e_ne ex) then
+      for i = down_off.(x) to down_off.(x + 1) - 1 do
+        let pn = down_w.(i) in
+        let down = Topology.pn_peer pn in
+        if down <> origin then begin
+          if tracing then Netsim_obs.Metrics.incr c_exported;
+          levels_push q ~len:(e_len ex + 1)
+            (q_pack ~parent:x ~link:(Topology.pn_link pn) ~target:down
+               ~ne:false)
+        end
       done
   done;
   (* A provider route is exported only when it is the AS's selected
      best; [bc]/[bp] are final by now. *)
-  drain q ~k ~origins ~table:bv ~seg_off:down_off ~seg_words:down_w
-    ~exports:(fun idx -> bc.(idx) < 0 && bp.(idx) < 0 && not (e_ne bv.(idx)))
-    ~recv:All ~tracing ~pvas ~cls:2;
-  (* ---- Per-origin states: a single origin keeps the tables. ---- *)
-  Array.init k (fun o ->
-      let cust, peer, prov =
-        if k = 1 then (bc, bp, bv)
-        else begin
-          let cust = Array.make n (-1)
-          and peer = Array.make n (-1)
-          and prov = Array.make n (-1) in
-          for x = 0 to n - 1 do
-            let idx = (x * k) + o in
-            cust.(x) <- bc.(idx);
-            peer.(x) <- bp.(idx);
-            prov.(x) <- bv.(idx)
-          done;
-          (cust, peer, prov)
-        end
-      in
-      record_run_stats ~tracing n cust peer prov;
-      if pv_on then
-        record_provenance_stats ~tracing n ~origin:origins.(o) pvas.(o) cust
-          peer prov;
-      {
-        topo;
-        config = configs.(o);
-        cust;
-        peer;
-        prov;
-        pv = (if pv_on then Some pvas.(o) else None);
-      })
+  drain q ~origin ~table:bv ~seg_off:down_off ~seg_words:down_w
+    ~exports:(fun x -> bc.(x) < 0 && bp.(x) < 0 && not (e_ne bv.(x)))
+    ~recv:All ~tracing ~pva ~cls:2;
+  record_run_stats ~tracing n bc bp bv;
+  Option.iter
+    (fun a -> record_provenance_stats ~tracing n ~origin a bc bp bv)
+    pva;
+  { topo; config; cust = bc; peer = bp; prov = bv; pv = pva }
 
 let pv_default = function Some b -> b | None -> Provenance.enabled ()
 
 let run ?provenance topo config =
   Netsim_obs.Span.with_ ~name:"bgp.propagate" @@ fun () ->
-  (kernel
-     ~tracing:(Netsim_obs.Metrics.enabled ())
-     ~pv_on:(pv_default provenance) topo [| config |]).(0)
+  kernel
+    ~tracing:(Netsim_obs.Metrics.enabled ())
+    ~pv_on:(pv_default provenance) topo config
 
 let run_batch ?provenance topo configs =
   let k = Array.length configs in
@@ -485,7 +397,7 @@ let run_batch ?provenance topo configs =
       Netsim_obs.Metrics.incr c_batches;
       Netsim_obs.Metrics.add c_batch_origins k
     end;
-    kernel ~tracing ~pv_on:(pv_default provenance) topo configs
+    Array.map (kernel ~tracing ~pv_on:(pv_default provenance) topo) configs
 
 let equal a b =
   a.config.Announce.origin = b.config.Announce.origin
@@ -733,12 +645,11 @@ let reconverge ?provenance s ~topo delta =
   done;
   (* Restricted drains: one origin, exports only to dirty ASes, no
      counters (reconvergence reports its own). *)
-  let origins = [| origin |] in
   let push_seeds q ~klass dirty =
     List.iter
       (fun (target, len, (_ : int), (link : Relation.link), ne) ->
         if dirty.(target) then
-          levels_push q ~len ~org:0
+          levels_push q ~len
             (q_pack ~parent:origin ~link:link.Relation.id ~target ~ne))
       (seeds topo config ~klass)
   in
@@ -746,11 +657,11 @@ let reconverge ?provenance s ~topo delta =
      dirty [t]. *)
   let push_from q e ~y ~pn ~t =
     if e >= 0 && not (e_ne e) then
-      levels_push q ~len:(e_len e + 1) ~org:0
+      levels_push q ~len:(e_len e + 1)
         (q_pack ~parent:y ~link:(Topology.pn_link pn) ~target:t ~ne:false)
   in
   (* ---- Phase 1 (restricted): customer-learned routes. ---- *)
-  let q = levels_create 1 in
+  let q = levels_create () in
   push_seeds q ~klass:Route.Customer dc;
   for t = 0 to n - 1 do
     if dc.(t) then
@@ -761,10 +672,10 @@ let reconverge ?provenance s ~topo delta =
           push_from q cust.(y) ~y ~pn ~t
       done
   done;
-  drain q ~k:1 ~origins ~table:cust ~seg_off:off ~seg_words:wrd
+  drain q ~origin ~table:cust ~seg_off:off ~seg_words:wrd
     ~exports:(fun t -> not (e_ne cust.(t)))
     ~recv:(Dirty (dc, Relation.To_provider))
-    ~tracing:false ~pvas:[||] ~cls:0;
+    ~tracing:false ~pva:None ~cls:0;
   (* ---- Phase 2 (restricted): peer-learned routes, pulled per dirty
      target over its full lateral candidate set. ---- *)
   let peer_seeds = seeds topo config ~klass:Route.Peer in
@@ -797,7 +708,7 @@ let reconverge ?provenance s ~topo delta =
     end
   done;
   (* ---- Phase 3 (restricted): provider-learned routes. ---- *)
-  let q = levels_create 1 in
+  let q = levels_create () in
   push_seeds q ~klass:Route.Provider dv;
   for t = 0 to n - 1 do
     if dv.(t) then
@@ -811,10 +722,10 @@ let reconverge ?provenance s ~topo delta =
         end
       done
   done;
-  drain q ~k:1 ~origins ~table:prov ~seg_off:off ~seg_words:wrd
+  drain q ~origin ~table:prov ~seg_off:off ~seg_words:wrd
     ~exports:(fun t -> cust.(t) < 0 && peer.(t) < 0 && not (e_ne prov.(t)))
     ~recv:(Dirty (dv, Relation.To_customer))
-    ~tracing:false ~pvas:[||] ~cls:2;
+    ~tracing:false ~pva:None ~cls:2;
   let stats =
     {
       rs_dirty_cust = !nd_c;
@@ -855,60 +766,62 @@ let reconverge ?provenance s ~topo delta =
   let pv = if pv_on then (run ~provenance:true topo config).pv else None in
   ({ topo; config; cust; peer; prov; pv }, stats)
 
-let selected_entry s x =
-  if x = origin s then None
-  else if s.cust.(x) >= 0 then Some (Route.Customer, entry_of s s.cust.(x))
-  else if s.peer.(x) >= 0 then Some (Route.Peer, entry_of s s.peer.(x))
-  else if s.prov.(x) >= 0 then Some (Route.Provider, entry_of s s.prov.(x))
-  else None
+(* ---- selection reads --------------------------------------------------- *)
 
+(* The selected packed entry of [x], -1 for the origin and unreachable
+   ASes.  Reads only the tables: nothing is allocated. *)
+let[@inline] selected s x =
+  if x = origin s then -1
+  else if s.cust.(x) >= 0 then s.cust.(x)
+  else if s.peer.(x) >= 0 then s.peer.(x)
+  else s.prov.(x)
+
+(* Constant options: no allocation. *)
 let selected_class s x =
-  match selected_entry s x with Some (k, _) -> Some k | None -> None
+  if x = origin s then None
+  else
+    match sel_cls s.cust s.peer s.prov x with
+    | 0 -> Some Route.Customer
+    | 1 -> Some Route.Peer
+    | 2 -> Some Route.Provider
+    | _ -> None
 
-let reachable s x = x = origin s || selected_entry s x <> None
+let reachable s x = x = origin s || selected s x >= 0
 
-let rec path_of s x klass =
-  (* AS path from x's route of the given class: next hop ... origin. *)
-  let entry =
-    match klass with
-    | Route.Customer -> get s s.cust x
-    | Route.Peer -> get s s.peer x
-    | Route.Provider -> get s s.prov x
-  in
-  match entry with
-  | None -> []
-  | Some e ->
-      if e.parent = origin s then [ e.parent ]
-      else begin
-        let parent_klass =
-          match klass with
-          | Route.Customer -> Route.Customer
-          | Route.Peer -> Route.Customer
-          | Route.Provider -> (
-              match selected_entry s e.parent with
-              | Some (k, _) -> k
-              | None -> Route.Provider (* unreachable in a valid state *))
-        in
-        e.parent :: path_of s e.parent parent_klass
-      end
+let path_len s x =
+  let v = selected s x in
+  if v < 0 then -1 else e_len v
 
-let as_path s x =
-  match selected_entry s x with
-  | None -> []
-  | Some (klass, _) -> path_of s x klass
+let next_hop s x =
+  let v = selected s x in
+  if v < 0 then -1 else e_parent v
+
+(* AS path behind packed entry [v]: next hop ... origin.  Every hop
+   follows the parent's selected entry: a customer- or peer-class
+   route was exported from the parent's customer entry, which is then
+   the parent's selection, and a provider-class route from the
+   parent's selection itself. *)
+let rec path_from s v =
+  if v < 0 then []
+  else
+    let p = e_parent v in
+    if p = origin s then [ p ] else p :: path_from s (selected s p)
+
+let as_path s x = path_from s (selected s x)
 
 let best s x =
-  match selected_entry s x with
+  match selected_class s x with
   | None -> None
-  | Some (klass, e) ->
+  | Some klass ->
+      let v = selected s x in
       Some
         {
           Route.dest = origin s;
           klass;
-          next_hop = e.parent;
-          via_link = e.link;
-          path_len = e.len;
-          as_path = path_of s x klass;
+          next_hop = e_parent v;
+          via_link = Topology.link s.topo (e_link v);
+          path_len = e_len v;
+          as_path = path_from s v;
         }
 
 let klass_of_rel = function
@@ -939,32 +852,26 @@ let received s x =
             :: acc
         end
         else
-          match selected_entry s y with
-          | None -> acc
-          | Some (peer_klass, peer_entry) ->
-              (* A NO_EXPORT route is never advertised further.
-                 Otherwise: to its customers the neighbor exports
-                 everything; to peers/providers only customer-learned
-                 routes. *)
-              let x_is_customer_of_peer = rel = Relation.To_provider in
-              if peer_entry.no_export then acc
-              else if
-                (not x_is_customer_of_peer) && peer_klass <> Route.Customer
-              then acc
-              else begin
-                let peer_path = path_of s y peer_klass in
-                if List.mem x peer_path || peer_entry.parent = x then acc
-                else
-                  {
-                    Route.dest = origin s;
-                    klass = klass_of_rel rel;
-                    next_hop = y;
-                    via_link = link;
-                    path_len = peer_entry.len + 1;
-                    as_path = y :: peer_path;
-                  }
-                  :: acc
-              end)
+          let v = selected s y in
+          (* A NO_EXPORT route is never advertised further.  Otherwise:
+             to its customers the neighbor exports everything; to
+             peers/providers only customer-learned routes. *)
+          if v < 0 || e_ne v then acc
+          else if rel <> Relation.To_provider && s.cust.(y) < 0 then acc
+          else begin
+            let peer_path = path_from s v in
+            if List.mem x peer_path || e_parent v = x then acc
+            else
+              {
+                Route.dest = origin s;
+                klass = klass_of_rel rel;
+                next_hop = y;
+                via_link = link;
+                path_len = e_len v + 1;
+                as_path = y :: peer_path;
+              }
+              :: acc
+          end)
       []
 
 let received_at_metro s x ~metro =
@@ -1019,12 +926,7 @@ let decision s x =
   | Some pva ->
       if x = origin s || x < 0 || x >= Provenance.length pva then None
       else begin
-        let cls =
-          if s.cust.(x) >= 0 then 0
-          else if s.peer.(x) >= 0 then 1
-          else if s.prov.(x) >= 0 then 2
-          else -1
-        in
+        let cls = sel_cls s.cust s.peer s.prov x in
         if cls < 0 then None
         else begin
           let winner =

@@ -15,8 +15,7 @@
 type state
 
 val run : ?provenance:bool -> Netsim_topo.Topology.t -> Announce.t -> state
-(** Compute routes from every AS to the configured origin: the
-    propagation kernel of {!run_batch} at one origin, inside the
+(** Compute routes from every AS to the configured origin, inside the
     [bgp.propagate] span.  The kernel drains a monotone per-length
     level queue over bit-packed flat arrays, settling each AS by its
     minimum candidate, and exports over the topology's memoised
@@ -31,15 +30,12 @@ val run : ?provenance:bool -> Netsim_topo.Topology.t -> Announce.t -> state
 
 val run_batch :
   ?provenance:bool -> Netsim_topo.Topology.t -> Announce.t array -> state array
-(** [run_batch topo configs] propagates every config's prefix in one
-    shared frontier sweep and returns one state per config, in order,
-    inside the [bgp.propagate_batch] span (bumping
-    [bgp.propagate_batches] and [bgp.propagate_batch_origins]).  It is
-    the same kernel as {!run}: origins never interact, so each state is
-    {!equal} (and, with provenance on, arena-equal) to an independent
-    {!run} of its config — the differential property in
-    [test/test_scale.ml] — while the topology scans and the link index
-    are shared across the batch (see [bench/micro_scale.ml]).
+(** [run_batch topo configs] is one {!run} per config, in order,
+    inside one [bgp.propagate_batch] span (bumping
+    [bgp.propagate_batches] and [bgp.propagate_batch_origins]) instead
+    of one [bgp.propagate] span each.  Each state is {!equal} (and,
+    with provenance on, arena-equal) to an independent {!run} of its
+    config — the differential property in [test/test_scale.ml].
     Duplicate origins are allowed and computed independently. *)
 
 val equal : state -> state -> bool
@@ -138,6 +134,19 @@ val selected_class : state -> int -> Route.klass option
 
 val reachable : state -> int -> bool
 (** True for the origin and any AS with a route. *)
+
+val path_len : state -> int -> int
+(** The selected route's prepend-inclusive path length; [-1] for the
+    origin and unreachable ASes. *)
+
+val next_hop : state -> int -> int
+(** The selected route's next-hop AS; [-1] for the origin and
+    unreachable ASes.
+
+    {!selected_class}, {!reachable}, {!path_len} and {!next_hop} read
+    the packed tables without building a {!Route.t} or an AS path:
+    per-AS loops over whole states (aggregation, hop-by-hop walks) use
+    them instead of {!best}. *)
 
 val as_path : state -> int -> int list
 (** Full AS path from the given AS to the origin (excluding the AS

@@ -65,22 +65,26 @@ let continue_from state ~start:x ~current =
   let rec go x current acc steps =
     if steps > max_hops then None
     else
-      match Propagate.best state x with
-      | None -> None
-      | Some route ->
-          let next = route.Route.next_hop in
-          let candidates =
-            if next = origin then origin_links state topo x
-            else Topology.links_between topo x next
-          in
-          (match choose_exit_link candidates ~current with
-          | None -> None
-          | Some link ->
-              let hop =
-                { asid = x; ingress = current; egress = link.Relation.metro; link }
-              in
-              if next = origin then Some (List.rev (hop :: acc))
-              else go next link.Relation.metro (hop :: acc) (steps + 1))
+      let next = Propagate.next_hop state x in
+      if next < 0 then None
+      else
+        let candidates =
+          if next = origin then origin_links state topo x
+          else Topology.links_between topo x next
+        in
+        match choose_exit_link candidates ~current with
+        | None -> None
+        | Some link ->
+            let hop =
+              {
+                asid = x;
+                ingress = current;
+                egress = link.Relation.metro;
+                link;
+              }
+            in
+            if next = origin then Some (List.rev (hop :: acc))
+            else go next link.Relation.metro (hop :: acc) (steps + 1)
   in
   go x current [] 0
 

@@ -32,33 +32,35 @@ let pick_origins topo k =
   let k = Stdlib.max 1 (Stdlib.min k n) in
   Array.init k (fun i -> pool.(i * n / k))
 
+(* The experiment's hot path: one propagation per origin, fanned out
+   over the domain pool in contiguous chunks of [sp_batch] origins.
+   States are byte-identical for any domain count and cache setting, so
+   everything [run] prints is too. *)
+let states p topo =
+  let configs =
+    Array.map
+      (fun origin -> Announce.default ~origin)
+      (pick_origins topo p.sp_origins)
+  in
+  Netsim_par.Pool.map_batches ~batch:(Stdlib.max 1 p.sp_batch)
+    (fun chunk -> Rib_cache.run_batch topo chunk)
+    configs
+
 let run p =
   match Generator.generate_scale p.sp_scale with
   | Error e -> Error e
   | Ok topo ->
       Netsim_obs.Span.with_ ~name:"core.scale_sweep" @@ fun () ->
       let n = Topology.as_count topo in
-      let origins = pick_origins topo p.sp_origins in
-      let k = Array.length origins in
-      let configs =
-        Array.map (fun origin -> Announce.default ~origin) origins
-      in
-      (* The experiment's hot path: batched multi-origin propagation,
-         fanned out over the domain pool in contiguous chunks.  States
-         are byte-identical for any domain count and cache setting, so
-         everything printed below is too. *)
-      let states =
-        Netsim_par.Pool.map_batches ~batch:(Stdlib.max 1 p.sp_batch)
-          (fun chunk -> Rib_cache.run_batch topo chunk)
-          configs
-      in
+      let states = states p topo in
+      let k = Array.length states in
       let check_failures = ref [] in
       if p.sp_check then
-        Array.iteri
-          (fun i st ->
-            let solo = Propagate.run topo configs.(i) in
+        Array.iter
+          (fun st ->
+            let solo = Propagate.run topo (Propagate.config st) in
             if not (Propagate.equal st solo) then
-              check_failures := origins.(i) :: !check_failures)
+              check_failures := Propagate.origin st :: !check_failures)
           states;
       match !check_failures with
       | _ :: _ as l ->
@@ -87,27 +89,33 @@ let run p =
               k;
           (* Aggregate routing statistics over all (origin, AS) pairs;
              derived from the states alone, so deterministic for any
-             domain count / cache setting. *)
+             domain count / cache setting.  This loop visits 64 x 74,516
+             pairs at full scale, so it reads packed entries (no route,
+             no AS path) and matches the class in place rather than
+             paying a cross-module call per pair. *)
           let reach_min = ref max_int and reach_max = ref 0 in
           let reach_total = ref 0 in
           let len_sum = ref 0 and len_count = ref 0 and len_max = ref 0 in
           let by_class = [| 0; 0; 0 |] in
           Array.iter
             (fun st ->
-              let reach = ref 0 in
+              let reach = ref 0 and origin = Propagate.origin st in
               for x = 0 to n - 1 do
-                if Propagate.reachable st x then begin
-                  incr reach;
-                  match Propagate.best st x with
-                  | None -> () (* the origin itself *)
-                  | Some r ->
-                      len_sum := !len_sum + r.Route.path_len;
-                      if r.Route.path_len > !len_max then
-                        len_max := r.Route.path_len;
-                      incr len_count;
-                      by_class.(Route.klass_rank r.Route.klass) <-
-                        by_class.(Route.klass_rank r.Route.klass) + 1
-                end
+                match Propagate.selected_class st x with
+                | None -> if x = origin then incr reach
+                | Some c ->
+                    incr reach;
+                    let len = Propagate.path_len st x in
+                    len_sum := !len_sum + len;
+                    if len > !len_max then len_max := len;
+                    incr len_count;
+                    let i =
+                      match c with
+                      | Route.Customer -> 0
+                      | Route.Peer -> 1
+                      | Route.Provider -> 2
+                    in
+                    by_class.(i) <- by_class.(i) + 1
               done;
               reach_min := Stdlib.min !reach_min !reach;
               reach_max := Stdlib.max !reach_max !reach;

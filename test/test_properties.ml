@@ -315,6 +315,62 @@ let prop_optimized_equals_reference =
            (fun m -> Catchment.clients_of_site co m = Catchment.clients_of_site cr m)
            (Catchment.sites co))
 
+(* One config that mixes every announcement knob: prepends (1-3) and
+   NO_EXPORT at random footprint metros, and a random share (0-80%) of
+   the origin's sessions withheld, so the higher shares leave ASes
+   unreachable. *)
+let mixed_config topo origin cseed =
+  let rng = Sm.create cseed in
+  let coin p = Netsim_prng.Dist.bernoulli rng ~p in
+  let metros () =
+    List.filter
+      (fun _ -> coin 0.4)
+      (Array.to_list (Topology.asn topo origin).Asn.footprint)
+  in
+  let p_withhold = float_of_int (cseed mod 5) /. 5. in
+  let withheld =
+    List.filter_map
+      (fun (nb : Oracle.neighbor) ->
+        if coin p_withhold then Some nb.Oracle.link.Relation.id else None)
+      (Oracle.neighbors topo origin)
+  in
+  let c = Announce.default ~origin in
+  let c = Announce.prepend_at_metros c (metros ()) (1 + Sm.next_int rng 3) in
+  let c = Announce.no_export_at_metros c (metros ()) in
+  Announce.withhold_links c withheld
+
+(* The allocation-free reads must say what [best] says, for every AS:
+   the origin and unreachable ASes included. *)
+let prop_packed_reads_match_best =
+  QCheck.Test.make
+    ~name:
+      "path_len, next_hop, selected_class and reachable agree with best \
+       (prepends, NO_EXPORT, withheld links)"
+    ~count:40
+    (QCheck.pair seed_gen (QCheck.int_range 0 10_000))
+    (fun (seed, cseed) ->
+      let topo = random_topo seed in
+      let origin = cseed mod Topology.as_count topo in
+      let s = Propagate.run topo (mixed_config topo origin cseed) in
+      let ok = ref true in
+      for x = 0 to Topology.as_count topo - 1 do
+        let agrees =
+          match Propagate.best s x with
+          | None ->
+              Propagate.path_len s x = -1
+              && Propagate.next_hop s x = -1
+              && Propagate.selected_class s x = None
+              && Propagate.reachable s x = (x = origin)
+          | Some r ->
+              Propagate.path_len s x = r.Route.path_len
+              && Propagate.next_hop s x = r.Route.next_hop
+              && Propagate.selected_class s x = Some r.Route.klass
+              && Propagate.reachable s x
+        in
+        if not agrees then ok := false
+      done;
+      !ok)
+
 (* Removing the origin link that carries an AS's NO_EXPORT seed lets
    that AS export a route it learns elsewhere, which can improve its
    neighbours' routes: the removal must close over the live adjacency,
@@ -348,6 +404,7 @@ let suite =
       prop_timeline_pop_sorted;
       prop_reconverge_equals_full;
       prop_optimized_equals_reference;
+      prop_packed_reads_match_best;
     ]
   @ [
       Alcotest.test_case "reconverge: removing a NO_EXPORT seed" `Quick

@@ -4,7 +4,8 @@
       independent [Propagate.run] calls — for random hierarchies,
       origin sets (duplicates included), domain counts, RIB cache
       on/off and provenance on/off, end to end through
-      [Rib_cache.run_batch] and [Pool.map_batches].
+      [Rib_cache.run_batch] and [Pool.map_batches] — and the scale
+      sweep's states must equal the Set-based [Oracle.run].
 
    2. The scale/shape topology constructors are total: degenerate
       shapes (single AS, max-degree star, provider chain, AS count at
@@ -140,6 +141,32 @@ let prop_batch_provenance_through_cache =
         (Array.mapi
            (fun i st -> state_equals_solo topo configs.(i) ~pv:true st)
            states))
+
+(* The sweep itself against the Set-based reference, which shares no
+   code with the kernel: every state of [Scale_sweep.states] at
+   [small_params] (64 origins, chunks through [Rib_cache.run_batch]
+   and [Pool.map_batches]) must equal [Oracle.run] of its config, on
+   one domain and on four. *)
+let test_sweep_matches_oracle () =
+  let p = Beatbgp.Scale_sweep.small_params in
+  match Generator.generate_scale p.Beatbgp.Scale_sweep.sp_scale with
+  | Error e -> Alcotest.failf "small_scale_params: %s" e
+  | Ok topo ->
+      List.iter
+        (fun domains ->
+          with_domains domains @@ fun () ->
+          with_cache true @@ fun () ->
+          let states = Beatbgp.Scale_sweep.states p topo in
+          Alcotest.(check int) "one state per origin" 64 (Array.length states);
+          Array.iter
+            (fun st ->
+              check
+                (Printf.sprintf "domains %d, origin %d: sweep == Oracle.run"
+                   domains (Propagate.origin st))
+                true
+                (Propagate.equal st (Oracle.run topo (Propagate.config st))))
+            states)
+        [ 1; 4 ]
 
 (* ---- topology generator totality -------------------------------------- *)
 
@@ -388,4 +415,6 @@ let suite =
         test_generate_scale_caps;
       Alcotest.test_case "small scale topology: invariants, CSR, batching"
         `Quick test_small_scale_topology;
+      Alcotest.test_case "scale sweep states equal the Set-based reference"
+        `Quick test_sweep_matches_oracle;
     ]
