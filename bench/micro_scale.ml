@@ -3,34 +3,32 @@
      dune exec bench/micro_scale.exe -- [--out FILE] [--history FILE]
        [--gate] [--gate-trend] [--origins N] [sweeps]
 
-   Generates the ~75k-AS scale topology, propagates a spread of stub
-   origins once through [Propagate.run_batch] and once as independent
-   [Propagate.run] calls — verifying entry-for-entry equality before
-   any timing — and reports the median wall time of [sweeps] timed
-   sweeps each (at least 3, default 3, after one warm-up; a single
-   reading follows GC heap growth), throughput in AS-states computed
-   per second, the batched-over-sequential ratio and the process's
-   peak RSS.  [run_batch] is one single-origin kernel call per config
-   inside one span, so both sweeps do the same work and the ratio
-   reads ~1.0: it shows that the batch wrapper costs nothing, not a
-   speedup.  Writes the
-   numbers as JSON (default BENCH_scale.json) and appends a history
-   record to BENCH_history.jsonl under bench "scale" with a
-   per-workload variant tag, so differently-sized runs never gate
-   against each other.
+   Generates the ~75k-AS scale topology and times the scale sweep's
+   fan-out, [Scale_sweep.map] over [Scale_sweep.default_params] (one
+   [Propagate.run] per stub origin, 16 origins per pool task, at the
+   [NETSIM_DOMAINS] pool size).  One untimed differential pass comes
+   first: inside its task, every state must equal a second run of its
+   config, as [scale --check] does.  Reports the median wall time of
+   [sweeps] timed sweeps (at least 3, default 3, after one warm-up; a
+   single reading follows GC heap growth), throughput in AS-states
+   computed per second and the process's peak RSS.  Writes the numbers
+   as JSON (default BENCH_scale.json) and appends a history record to
+   BENCH_history.jsonl under bench "scale" with a per-workload variant
+   tag (AS count, origins, domains), so differently-sized or
+   differently-parallel runs never gate against each other.
 
    --gate enforces the scale bounds: >= 50k ASes and >= 64 origins,
-   on top of the batched-vs-sequential differential every run does;
-   exits non-zero otherwise (used by the CI bench smoke).
-   --gate-trend fails when a tracked metric (batch and sequential
-   sweep time, throughput, peak RSS) regresses > 15% against the
-   median of the last 5 history records of the same variant. *)
+   on top of the differential pass every run does; exits non-zero
+   otherwise (used by the CI bench smoke).
+   --gate-trend fails when a tracked metric (sweep time, throughput,
+   peak RSS) regresses > 15% against the median of the last 5 history
+   records of the same variant. *)
 
 module Topology = Netsim_topo.Topology
 module Generator = Netsim_topo.Generator
-module Announce = Netsim_bgp.Announce
 module Propagate = Netsim_bgp.Propagate
 module Jsonx = Netsim_obs.Jsonx
+module Scale_sweep = Beatbgp.Scale_sweep
 
 let median_s f sweeps =
   f () (* warm-up *);
@@ -90,66 +88,59 @@ let () =
     parse ~out:"BENCH_scale.json" ~gate:false ~sweeps:3 args
   in
   let sweeps = Stdlib.max 3 sweeps in
+  let p =
+    { Scale_sweep.default_params with Scale_sweep.sp_origins = !origins_n }
+  in
   let topo =
-    match Generator.generate_scale Generator.scale_params with
+    match Generator.generate_scale p.Scale_sweep.sp_scale with
     | Ok t -> t
     | Error e ->
         Printf.printf "FAIL: generate_scale: %s\n" e;
         exit 1
   in
   let n = Topology.as_count topo in
-  let stubs = Array.of_list (Topology.by_klass topo Netsim_topo.Asn.Stub) in
-  let k = Stdlib.min !origins_n (Array.length stubs) in
-  let configs =
-    Array.init k (fun i ->
-        Announce.default ~origin:stubs.(i * Array.length stubs / k))
+  (* Correctness before speed: every state must be entry-for-entry
+     equal to a second run of its config. *)
+  let agree =
+    Scale_sweep.map p topo (fun st ->
+        ( Propagate.origin st,
+          Propagate.equal st (Propagate.run topo (Propagate.config st)) ))
   in
-  (* Correctness before speed: every batched state must be
-     entry-for-entry equal to an independent run of its config. *)
-  let batched = Propagate.run_batch topo configs in
-  Array.iteri
-    (fun i st ->
-      if not (Propagate.equal st (Propagate.run topo configs.(i))) then begin
-        Printf.printf "FAIL: batched state %d differs from sequential run\n" i;
+  Array.iter
+    (fun (origin, ok) ->
+      if not ok then begin
+        Printf.printf "FAIL: state of origin %d differs from a second run\n"
+          origin;
         exit 1
       end)
-    batched;
-  let batch_s =
-    median_s (fun () -> ignore (Propagate.run_batch topo configs)) sweeps
+    agree;
+  let k = Array.length agree in
+  let domains = Netsim_par.Pool.domain_count () in
+  let sweep_s =
+    median_s (fun () -> ignore (Scale_sweep.map p topo ignore)) sweeps
   in
-  let seq_s =
-    median_s
-      (fun () ->
-        Array.iter (fun c -> ignore (Propagate.run topo c)) configs)
-      sweeps
-  in
-  let speedup = seq_s /. batch_s in
-  let ases_per_sec = float_of_int (n * k) /. batch_s in
+  let ases_per_sec = float_of_int (n * k) /. sweep_s in
   let rss_kb = peak_rss_kb () in
   Printf.printf
-    "scale: %d ASes  %d links  %d origins  median of %d sweeps\n\
-     batched %.3f s/sweep  sequential %.3f s/sweep  speedup %.2fx\n\
-     throughput %.0f AS-states/s  peak RSS %d kB\n"
-    n (Topology.link_count topo) k sweeps batch_s seq_s speedup ases_per_sec
-    rss_kb;
+    "scale: %d ASes  %d links  %d origins  %d domains  median of %d sweeps\n\
+     sweep %.3f s  throughput %.0f AS-states/s  peak RSS %d kB\n"
+    n (Topology.link_count topo) k domains sweeps sweep_s ases_per_sec rss_kb;
   Bench_support.Bench_out.write ~out ~bench:"scale"
     [
       ("sweeps", Jsonx.Int sweeps);
       ("as_count", Jsonx.Int n);
       ("link_count", Jsonx.Int (Topology.link_count topo));
       ("origins", Jsonx.Int k);
-      ("batch_s", Jsonx.Float batch_s);
-      ("sequential_s", Jsonx.Float seq_s);
-      ("speedup", Jsonx.Float speedup);
+      ("domains", Jsonx.Int domains);
+      ("sweep_s", Jsonx.Float sweep_s);
       ("ases_per_sec", Jsonx.Float ases_per_sec);
       ("peak_rss_kb", Jsonx.Int rss_kb);
     ];
-  let variant = Printf.sprintf "n%d_o%d" n k in
+  let variant = Printf.sprintf "n%d_o%d_d%d" n k domains in
   let metrics =
     Bench_support.Trend.
       [
-        metric "batch_s" batch_s;
-        metric "sequential_s" seq_s;
+        metric "sweep_s" sweep_s;
         metric ~lower_better:false "ases_per_sec" ases_per_sec;
         metric "peak_rss_kb" (float_of_int rss_kb);
       ]

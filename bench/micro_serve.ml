@@ -160,7 +160,7 @@ let scale_snapshot ~origins =
     Array.init k (fun i ->
         Announce.default ~origin:stubs.(i * Array.length stubs / k))
   in
-  let states = Propagate.run_batch topo configs in
+  let states = Array.map (Propagate.run topo) configs in
   {
     Snapshot.git_sha = Netsim_serve.Version.git_sha ();
     created_gen = Topology.generation topo;

@@ -574,7 +574,7 @@ let serve_cmd =
 
 (* ---- internet scale ---- *)
 
-let run_scale small seed origins batch check domains no_rib_cache trace =
+let run_scale small seed origins check domains no_rib_cache trace =
   (match domains with
   | Some n -> Netsim_par.Pool.set_domain_count n
   | None -> ());
@@ -592,8 +592,6 @@ let run_scale small seed origins batch check domains no_rib_cache trace =
           Netsim_topo.Generator.sc_seed = seed };
       sp_origins = (match origins with Some n -> n | None ->
         base.Beatbgp.Scale_sweep.sp_origins);
-      sp_batch = (match batch with Some n -> n | None ->
-        base.Beatbgp.Scale_sweep.sp_batch);
       sp_check = check;
     }
   in
@@ -615,22 +613,13 @@ let scale_cmd =
       & info [ "origins" ] ~docv:"N"
           ~doc:"Stub prefixes to propagate (default: 64).")
   in
-  let batch_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch" ] ~docv:"N"
-          ~doc:
-            "Origins per pool task (default: 16).  Sets the unit of \
-             parallel work; the output is the same at any value.")
-  in
   let check_t =
     Arg.(
       value & flag
       & info [ "check" ]
           ~doc:
-            "Recompute every state with an independent propagation \
-             outside the RIB cache and the pool, and compare.")
+            "Recompute every origin with a second propagation inside \
+             its pool task, and compare.")
   in
   let doc = "Internet-scale multi-origin propagation" in
   let man =
@@ -639,18 +628,19 @@ let scale_cmd =
       `P
         "Generates an Internet-scale topology (~75k ASes by default; \
          ~600 with $(b,--small)), propagates a spread of stub prefixes \
-         over the domain pool in chunks of $(b,--batch) origins, and \
+         over the domain pool, 16 origins per task, reduces each \
+         origin's routing state to a summary inside its task, and \
          reports aggregate reachability, path-length and route-class \
          statistics.  Output is byte-identical for any $(b,--domains) \
-         value, $(b,--batch) value and RIB-cache setting; with \
-         $(b,--check) every state is compared with a propagation run \
-         outside the cache and the pool.";
+         value and RIB-cache setting (the sweep does not use the \
+         cache); with $(b,--check) every state is compared with a \
+         second propagation of its origin.";
     ]
   in
   Cmd.v
     (Cmd.info "scale" ~doc ~man)
     Term.(
-      const run_scale $ small_t $ seed_t $ origins_t $ batch_t $ check_t
+      const run_scale $ small_t $ seed_t $ origins_t $ check_t
       $ domains_t $ no_rib_cache_t $ trace_t)
 
 (* ---- route provenance ---- *)

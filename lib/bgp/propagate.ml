@@ -161,8 +161,6 @@ let seeds topo config ~klass =
 let c_exported = Netsim_obs.Metrics.counter "bgp.announcements_exported"
 let c_selected = Netsim_obs.Metrics.counter "bgp.routes_selected"
 let c_visited = Netsim_obs.Metrics.counter "bgp.ases_visited"
-let c_batches = Netsim_obs.Metrics.counter "bgp.propagate_batches"
-let c_batch_origins = Netsim_obs.Metrics.counter "bgp.propagate_batch_origins"
 
 let record_run_stats ~tracing n (cust : int array) peer prov =
   if tracing then begin
@@ -300,12 +298,17 @@ let offer_peer (bp : int array) pva target cand =
 (* ---- propagation ------------------------------------------------------ *)
 
 (* The one propagation kernel: the three Gao–Rexford phases for one
-   config.  Entry state lives in flat per-class tables indexed by AS;
-   the phase-2 lateral and phase-3 boundary sweeps walk each adjacency
-   row once, and sweeps and drains walk only the words of the relation
-   class they export to (the topology's partitioned arena).  Opens no
-   span and bumps no batch counter: [run] and [run_batch] own those. *)
-let kernel ~tracing ~pv_on topo config =
+   config, inside the [bgp.propagate] span.  Entry state lives in flat
+   per-class tables indexed by AS; the phase-2 lateral and phase-3
+   boundary sweeps walk each adjacency row once, and sweeps and drains
+   walk only the words of the relation class they export to (the
+   topology's partitioned arena). *)
+let run ?provenance topo config =
+  Netsim_obs.Span.with_ ~name:"bgp.propagate" @@ fun () ->
+  let tracing = Netsim_obs.Metrics.enabled () in
+  let pv_on =
+    match provenance with Some b -> b | None -> Provenance.enabled ()
+  in
   let n = Topology.as_count topo in
   let part = Topology.partition topo in
   let origin = config.Announce.origin in
@@ -378,26 +381,6 @@ let kernel ~tracing ~pv_on topo config =
     (fun a -> record_provenance_stats ~tracing n ~origin a bc bp bv)
     pva;
   { topo; config; cust = bc; peer = bp; prov = bv; pv = pva }
-
-let pv_default = function Some b -> b | None -> Provenance.enabled ()
-
-let run ?provenance topo config =
-  Netsim_obs.Span.with_ ~name:"bgp.propagate" @@ fun () ->
-  kernel
-    ~tracing:(Netsim_obs.Metrics.enabled ())
-    ~pv_on:(pv_default provenance) topo config
-
-let run_batch ?provenance topo configs =
-  let k = Array.length configs in
-  if k = 0 then [||]
-  else
-    Netsim_obs.Span.with_ ~name:"bgp.propagate_batch" @@ fun () ->
-    let tracing = Netsim_obs.Metrics.enabled () in
-    if tracing then begin
-      Netsim_obs.Metrics.incr c_batches;
-      Netsim_obs.Metrics.add c_batch_origins k
-    end;
-    Array.map (kernel ~tracing ~pv_on:(pv_default provenance) topo) configs
 
 let equal a b =
   a.config.Announce.origin = b.config.Announce.origin

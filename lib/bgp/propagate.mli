@@ -28,16 +28,6 @@ val run : ?provenance:bool -> Netsim_topo.Topology.t -> Announce.t -> state
     a {!Netsim_obs.Provenance} arena, queryable via {!decision}.  The
     disabled path costs one load + branch per record site. *)
 
-val run_batch :
-  ?provenance:bool -> Netsim_topo.Topology.t -> Announce.t array -> state array
-(** [run_batch topo configs] is one {!run} per config, in order,
-    inside one [bgp.propagate_batch] span (bumping
-    [bgp.propagate_batches] and [bgp.propagate_batch_origins]) instead
-    of one [bgp.propagate] span each.  Each state is {!equal} (and,
-    with provenance on, arena-equal) to an independent {!run} of its
-    config — the differential property in [test/test_scale.ml].
-    Duplicate origins are allowed and computed independently. *)
-
 val equal : state -> state -> bool
 (** Same origin and identical per-AS routing entries in all three
     route classes (length, parent, link and NO_EXPORT flag). *)

@@ -1,5 +1,4 @@
 module Topology = Netsim_topo.Topology
-module Relation = Netsim_topo.Relation
 module Metrics = Netsim_obs.Metrics
 module Recorder = Netsim_obs.Recorder
 
@@ -103,6 +102,10 @@ let capture shard f =
       Domain.DLS.set shard_key saved;
       raise e
 
+let record kind key =
+  if Recorder.enabled () then
+    Recorder.record ~kind [ Recorder.I ("origin", key.k_origin) ]
+
 (* Insert under the LRU bound.  Ticks are unique, so the victim is
    unique and eviction order does not depend on hash-table iteration
    order. *)
@@ -126,9 +129,7 @@ let insert shard key st =
            stamp: stamps come from a global atomic and are
            nondeterministic when topologies are built inside parallel
            pool tasks. *)
-        if Recorder.enabled () then
-          Recorder.record ~kind:"bgp.rib_cache.evict"
-            [ Recorder.I ("origin", k.k_origin) ]
+        record "bgp.rib_cache.evict" k
     | None -> ()
   end;
   Hashtbl.replace shard.tbl key { n_state = st; n_used = shard.tick }
@@ -148,35 +149,6 @@ let absorb task_shard =
 let c_hits = Metrics.counter "bgp.rib_cache.hits"
 let c_misses = Metrics.counter "bgp.rib_cache.misses"
 
-let hit_node shard key node =
-  shard.tick <- shard.tick + 1;
-  node.n_used <- shard.tick;
-  shard.s_hits <- shard.s_hits + 1;
-  if Metrics.enabled () then Metrics.incr c_hits;
-  if Recorder.enabled () then
-    Recorder.record ~kind:"bgp.rib_cache.hit"
-      [ Recorder.I ("origin", key.k_origin) ];
-  node.n_state
-
-let miss_state shard key st =
-  shard.s_misses <- shard.s_misses + 1;
-  if Metrics.enabled () then Metrics.incr c_misses;
-  if Recorder.enabled () then
-    Recorder.record ~kind:"bgp.rib_cache.miss"
-      [ Recorder.I ("origin", key.k_origin) ];
-  insert shard key st;
-  st
-
-(* One lookup's full bookkeeping.  A cached state lacking the
-   provenance the caller wants is regenerated (counted as a miss) and
-   the entry upgraded, so subsequent explains of the same problem
-   hit. *)
-let lookup shard key ~want ~compute =
-  match Hashtbl.find_opt shard.tbl key with
-  | Some node when (not want) || Propagate.has_provenance node.n_state ->
-      hit_node shard key node
-  | Some _ | None -> miss_state shard key (compute ())
-
 let run ?provenance topo config =
   (* Resolve the provenance request here so the cached and uncached
      paths agree on what NETSIM_PROVENANCE means. *)
@@ -189,67 +161,24 @@ let run ?provenance topo config =
   else
     let shard = current_shard () in
     let key = key_of topo config in
-    lookup shard key ~want ~compute:(fun () ->
-        Propagate.run ~provenance:want topo config)
-
-(* Batched lookups: compute every key the shard is missing in one
-   [Propagate.run_batch], then replay the configs in order against the
-   real cache.  The replay does byte-identical bookkeeping to a
-   sequential loop of [run] — same hit/miss counts and events, same
-   recency ticks, same insert and eviction order — because each miss
-   merely takes its state from the batch instead of propagating again.
-   Two corner cases keep the equivalence exact:
-
-   - duplicate keys inside the batch are computed once; the second
-     occurrence hits the entry the replay just inserted, as it would
-     sequentially;
-   - a key this replay's own inserts evict before its turn (capacity
-     smaller than the batch) is recomputed solo, as [run] would. *)
-let run_batch ?provenance topo configs =
-  let want =
-    match provenance with
-    | Some b -> b
-    | None -> Netsim_obs.Provenance.enabled ()
-  in
-  if not !enabled_ref then Propagate.run_batch ~provenance:want topo configs
-  else begin
-    let shard = current_shard () in
-    let keys = Array.map (fun c -> key_of topo c) configs in
-    (* Unique keys needing compute at batch start: absent, or present
-       without the provenance the caller wants. *)
-    let pending = Hashtbl.create 16 in
-    let to_compute = ref [] in
-    Array.iteri
-      (fun i key ->
-        if not (Hashtbl.mem pending key) then
-          match Hashtbl.find_opt shard.tbl key with
-          | Some node when (not want) || Propagate.has_provenance node.n_state
-            ->
-              ()
-          | Some _ | None ->
-              Hashtbl.add pending key ();
-              to_compute := i :: !to_compute)
-      keys;
-    let to_compute = Array.of_list (List.rev !to_compute) in
-    let computed =
-      if Array.length to_compute = 0 then [||]
-      else
-        Propagate.run_batch ~provenance:want topo
-          (Array.map (fun i -> configs.(i)) to_compute)
-    in
-    let computed_tbl = Hashtbl.create 16 in
-    Array.iteri
-      (fun j i -> Hashtbl.replace computed_tbl keys.(i) computed.(j))
-      to_compute;
-    Array.mapi
-      (fun i (config : Announce.t) ->
-        let key = keys.(i) in
-        lookup shard key ~want ~compute:(fun () ->
-            match Hashtbl.find_opt computed_tbl key with
-            | Some st -> st
-            | None -> Propagate.run ~provenance:want topo config))
-      configs
-  end
+    match Hashtbl.find_opt shard.tbl key with
+    | Some node when (not want) || Propagate.has_provenance node.n_state ->
+        shard.tick <- shard.tick + 1;
+        node.n_used <- shard.tick;
+        shard.s_hits <- shard.s_hits + 1;
+        if Metrics.enabled () then Metrics.incr c_hits;
+        record "bgp.rib_cache.hit" key;
+        node.n_state
+    | Some _ | None ->
+        (* A cached state lacking the provenance the caller wants is
+           regenerated (counted as a miss) and the entry upgraded, so
+           subsequent explains of the same problem hit. *)
+        let st = Propagate.run ~provenance:want topo config in
+        shard.s_misses <- shard.s_misses + 1;
+        if Metrics.enabled () then Metrics.incr c_misses;
+        record "bgp.rib_cache.miss" key;
+        insert shard key st;
+        st
 
 (* ---- introspection (tests, bench) ------------------------------------ *)
 

@@ -37,19 +37,6 @@ val run :
     provenance satisfy plain lookups unchanged — the routing entries
     are bit-identical either way. *)
 
-val run_batch :
-  ?provenance:bool ->
-  Netsim_topo.Topology.t ->
-  Announce.t array ->
-  Propagate.state array
-(** Memoized {!Propagate.run_batch}: every key the shard is missing is
-    computed in one batched propagation, then the configs are replayed
-    in order against the cache.  Observationally byte-identical to a
-    sequential loop of {!run} — same states, same hit/miss counts and
-    events, same recency and eviction order — so a batch with repeated
-    keys counts one miss and then hits, exactly as the loop would.
-    Falls through to {!Propagate.run_batch} when disabled. *)
-
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 (** Default on; seeded from [NETSIM_RIB_CACHE]. *)

@@ -277,11 +277,11 @@ let mapi f arr =
 
 let map_list f l = Array.to_list (map f (Array.of_list l))
 
-(* Batched fan-out: contiguous chunks of [batch] items become the pool
-   tasks, so a per-chunk computation (Rib_cache.run_batch) runs under
-   [map]'s usual per-task shard + capture/absorb discipline.  [batch]
-   sets the unit of parallel work and of per-task overhead only: the
-   chunking is deterministic in the input order alone, so results are
+(* Chunked fan-out: contiguous chunks of [batch] items become the pool
+   tasks, so a per-chunk computation runs under [map]'s usual per-task
+   shard + capture/absorb discipline.  [batch] sets the unit of
+   parallel work and of per-task overhead only: the chunking is
+   deterministic in the input order alone, so results are
    byte-identical at any domain count and chunk size. *)
 let map_batches (type a b) ~batch (f : a array -> b array) (arr : a array) :
     b array =

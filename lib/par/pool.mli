@@ -61,9 +61,9 @@ val map_batches : batch:int -> ('a array -> 'b array) -> 'a array -> 'b array
 (** [map_batches ~batch f arr] cuts [arr] into contiguous chunks of
     [batch] items (the last possibly shorter), runs [f] on each chunk
     as one pool task, and concatenates the per-chunk results — the
-    fan-out used to drive {!Netsim_bgp.Rib_cache.run_batch} over many
-    origins.  Each chunk gets [map]'s per-task observability and
-    RIB-cache shard capture/absorb, so results and counters are
-    byte-identical at any domain count.  [f] must return one result
+    scale sweep's fan-out, one task per chunk of origins.  Each chunk
+    gets [map]'s per-task observability and RIB-cache shard
+    capture/absorb, so results and counters are byte-identical at any
+    domain count.  [f] must return one result
     per input item, in order.  @raise Invalid_argument if [batch <= 0]
     or a chunk result length disagrees. *)

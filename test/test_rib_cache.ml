@@ -120,11 +120,12 @@ let test_absorb_merges () =
   check "parent hits the task's entry" true (s_task == s_parent);
   check_int "hit recorded" 1 (Rib_cache.hits ())
 
-(* ---- batched lookups --------------------------------------------------- *)
+(* ---- lookups through the pool ----------------------------------------- *)
 
-(* [Rib_cache.run_batch] promises to be observationally byte-identical
-   to a sequential loop of [Rib_cache.run]: same states, same hit/miss
-   totals, same recency and eviction order — at any domain count. *)
+(* Every pool task looks up against a fresh shard that is absorbed into
+   the caller's after the join, in submission order, so a workload fanned
+   out with [Pool.map] / [Pool.map_batches] leaves the same counters,
+   entries and recency order at any domain count. *)
 
 module Pool = Netsim_par.Pool
 
@@ -135,6 +136,9 @@ let with_domains d f =
 
 let cfg origin = Announce.default ~origin
 
+(* A [map_batches] chunk is one task and so one shard: repeated keys
+   inside it count one miss and then hit, exactly as the sequential
+   loop does. *)
 let test_batch_dedups_misses () =
   let topo = Fixture.topo () in
   let workload =
@@ -147,8 +151,13 @@ let test_batch_dedups_misses () =
     let sts = Array.map (fun c -> Rib_cache.run topo c) workload in
     (sts, Rib_cache.hits (), Rib_cache.misses ())
   in
+  with_domains 2 @@ fun () ->
   isolated @@ fun () ->
-  let sts = Rib_cache.run_batch topo workload in
+  let sts =
+    Pool.map_batches ~batch:(Array.length workload)
+      (Array.map (Rib_cache.run topo))
+      workload
+  in
   check_int "two misses for two distinct keys" 2 (Rib_cache.misses ());
   check_int "duplicates hit, not double-miss" 3 (Rib_cache.hits ());
   check_int "misses equal the sequential loop" seq_misses (Rib_cache.misses ());
@@ -164,33 +173,43 @@ let test_batch_dedups_misses () =
     sts
 
 let test_batch_provenance_upgrade () =
+  with_domains 2 @@ fun () ->
   isolated @@ fun () ->
   let topo = Fixture.topo () in
   let config = cfg Fixture.cp in
-  let _ = Rib_cache.run_batch ~provenance:false topo [| config |] in
-  check_int "plain entry cached" 1 (Rib_cache.misses ());
-  (* A provenance request against a plain entry regenerates — counted
-     as a miss, never served stale without an arena. *)
-  let s1 = Rib_cache.run_batch ~provenance:true topo [| config |] in
-  check_int "upgrade counted as a miss" 2 (Rib_cache.misses ());
-  check_int "upgrade is not a hit" 0 (Rib_cache.hits ());
-  (* The upgraded entry satisfies further provenance batches. *)
-  let s2 = Rib_cache.run_batch ~provenance:true topo [| config |] in
+  (* One task: a plain lookup, then two provenance lookups of the same
+     key.  The first provenance request against the plain entry
+     regenerates — counted as a miss, never served stale without an
+     arena — and the upgraded entry satisfies the second. *)
+  let sts =
+    Pool.map_batches ~batch:3
+      (Array.map (fun pv -> Rib_cache.run ~provenance:pv topo config))
+      [| false; true; true |]
+  in
+  check_int "plain entry, then the upgrade: two misses" 2 (Rib_cache.misses ());
   check_int "upgraded entry hits" 1 (Rib_cache.hits ());
-  check "hit returns the upgraded state" true (s1.(0) == s2.(0));
+  check "plain state carries no arena" false (Propagate.has_provenance sts.(0));
+  check "hit returns the upgraded state" true (sts.(1) == sts.(2));
   check "provenance arena matches a fresh run" true
-    (Propagate.provenance_equal s2.(0) (Propagate.run ~provenance:true topo config))
+    (Propagate.provenance_equal sts.(2)
+       (Propagate.run ~provenance:true topo config));
+  (* The absorbed entry is the upgraded one: the caller's own
+     provenance lookup hits it. *)
+  let s = Rib_cache.run ~provenance:true topo config in
+  check "caller hits the absorbed upgrade" true (s == sts.(2));
+  check_int "caller hit recorded" 2 (Rib_cache.hits ())
 
 let test_batch_generation_invalidates () =
   isolated @@ fun () ->
   let topo = Fixture.topo () in
   let workload = [| cfg Fixture.cp; cfg Fixture.eb; cfg Fixture.st |] in
-  let _ = Rib_cache.run_batch topo workload in
-  let _ = Rib_cache.run_batch topo workload in
+  let run_all t = Array.map (Rib_cache.run t) workload in
+  let _ = run_all topo in
+  let _ = run_all topo in
   check_int "warm batch all hits" 3 (Rib_cache.hits ());
   (* One generation bump must invalidate every origin of the batch. *)
   let failed = Topology.remove_links topo [ Fixture.l_t1_peer ] in
-  let sts = Rib_cache.run_batch failed workload in
+  let sts = run_all failed in
   check_int "all origins miss after the bump" 6 (Rib_cache.misses ());
   check_int "no stale hits" 3 (Rib_cache.hits ());
   Array.iteri
@@ -201,7 +220,7 @@ let test_batch_generation_invalidates () =
         (Propagate.equal st (Propagate.run failed workload.(i))))
     sts;
   (* The original topology value's entries were not disturbed. *)
-  let _ = Rib_cache.run_batch topo workload in
+  let _ = run_all topo in
   check_int "original batch still hits" 6 (Rib_cache.hits ())
 
 (* Drive a capacity-bounded workload through the pool and read back
@@ -217,11 +236,7 @@ let lru_observables ~domains topo =
       [| Fixture.cp; Fixture.eb; Fixture.st; Fixture.cp; Fixture.tr;
          Fixture.t1a; Fixture.cp; Fixture.eb |]
   in
-  let _ =
-    Pool.map_batches ~batch:2
-      (fun chunk -> Rib_cache.run_batch topo chunk)
-      workload
-  in
+  let _ = Pool.map (Rib_cache.run topo) workload in
   let hits = Rib_cache.hits ()
   and misses = Rib_cache.misses ()
   and size = Rib_cache.size () in

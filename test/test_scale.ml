@@ -1,11 +1,12 @@
-(* The internet-scale batching contract, differentially tested:
+(* The internet-scale sweep contract, differentially tested:
 
-   1. [Propagate.run_batch] must be entry-for-entry equal to N
-      independent [Propagate.run] calls — for random hierarchies,
+   1. The sweep's fan-out — [Pool.map] over [Propagate.run], and
+      [Scale_sweep.map] itself — must be entry-for-entry equal to N
+      independent [Propagate.run] calls, for random hierarchies,
       origin sets (duplicates included), domain counts, RIB cache
-      on/off and provenance on/off, end to end through
-      [Rib_cache.run_batch] and [Pool.map_batches] — and the scale
-      sweep's states must equal the Set-based [Oracle.run].
+      on/off and provenance on/off; the scale sweep's states must
+      equal the Set-based [Oracle.run]; and the sweep must leave the
+      RIB cache untouched.
 
    2. The scale/shape topology constructors are total: degenerate
       shapes (single AS, max-degree star, provider chain, AS count at
@@ -40,7 +41,7 @@ let random_topo seed =
   Generator.generate params
 
 (* [k] origins spread over all ASes; deliberately allows duplicates
-   (a batch must compute duplicated configs independently, and the
+   (the pool must compute duplicated configs independently, and the
    cache must hit on them). *)
 let pick_origins topo seed k =
   let n = Topology.as_count topo in
@@ -61,7 +62,7 @@ let with_cache on f =
       Rib_cache.set_enabled saved)
     f
 
-(* Per-origin equality of a batched state against an independent run:
+(* Per-origin equality of a fanned-out state against an independent run:
    routing entries, provenance arenas, and the queryable decision
    chain of every AS. *)
 let state_equals_solo topo config ~pv st =
@@ -81,72 +82,89 @@ let state_equals_solo topo config ~pv st =
 
 let seed_gen = QCheck.int_range 0 500
 
-let prop_batch_equals_sequential =
+let prop_pool_equals_sequential =
   QCheck.Test.make
-    ~name:"run_batch == N independent runs (origins 1-16, provenance on/off)"
+    ~name:
+      "Pool.map(Propagate.run) == N independent runs (origins 1-16, \
+       domains 1-4, provenance on/off)"
     ~count:25
-    QCheck.(pair seed_gen (int_range 1 16))
-    (fun (seed, k) ->
+    QCheck.(triple seed_gen (int_range 1 16) (int_range 1 4))
+    (fun (seed, k, domains) ->
       let topo = random_topo seed in
       let origins = pick_origins topo seed k in
       let configs = Array.map (fun origin -> Announce.default ~origin) origins in
+      with_domains domains @@ fun () ->
       List.for_all
         (fun pv ->
-          let batched = Propagate.run_batch ~provenance:pv topo configs in
-          Array.length batched = k
+          let states = Pool.map (Propagate.run ~provenance:pv topo) configs in
+          Array.length states = k
           && Array.for_all Fun.id
                (Array.mapi
                   (fun i st -> state_equals_solo topo configs.(i) ~pv st)
-                  batched))
+                  states))
         [ false; true ])
 
-let prop_batch_through_cache_and_pool =
+(* [Scale_sweep.map] over random hierarchies: [f] sees each state
+   inside its pool task, and the per-origin verdicts that come back
+   must all hold and arrive in the same origin order as on one domain,
+   at any domain count and cache setting. *)
+let prop_sweep_map_equals_sequential =
   QCheck.Test.make
     ~name:
-      "map_batches(Rib_cache.run_batch) == independent runs (domains 1/4, \
+      "Scale_sweep.map == independent runs (origins 1-40, domains 1-4, \
        cache on/off)"
     ~count:12
-    QCheck.(quad seed_gen (int_range 1 16) (int_range 1 4) bool)
+    QCheck.(quad seed_gen (int_range 1 40) (int_range 1 4) bool)
     (fun (seed, k, domains, cache_on) ->
       let topo = random_topo seed in
-      let origins = pick_origins topo seed k in
-      let configs = Array.map (fun origin -> Announce.default ~origin) origins in
-      let batch = 1 + (seed mod 8) in
+      let p =
+        { Beatbgp.Scale_sweep.small_params with
+          Beatbgp.Scale_sweep.sp_origins = k }
+      in
+      let order =
+        with_domains 1 @@ fun () -> Beatbgp.Scale_sweep.map p topo Propagate.origin
+      in
       with_domains domains @@ fun () ->
       with_cache cache_on @@ fun () ->
-      let states =
-        Pool.map_batches ~batch
-          (fun chunk -> Rib_cache.run_batch topo chunk)
-          configs
+      let got =
+        Beatbgp.Scale_sweep.map p topo (fun st ->
+            ( Propagate.origin st,
+              Propagate.equal st (Propagate.run topo (Propagate.config st)) ))
       in
-      Array.length states = k
-      && Array.for_all Fun.id
-           (Array.mapi
-              (fun i st ->
-                Propagate.equal st (Propagate.run topo configs.(i)))
-              states))
+      Array.length got >= 1
+      && Array.map fst got = order
+      && Array.for_all
+           (fun (o, ok) -> ok && (Topology.asn topo o).Asn.klass = Asn.Stub)
+           got)
 
-let prop_batch_provenance_through_cache =
+let prop_pool_provenance_through_cache =
   QCheck.Test.make
-    ~name:"Rib_cache.run_batch ~provenance preserves decision chains"
+    ~name:"Pool.map(Rib_cache.run ~provenance) preserves decision chains"
     ~count:10
-    QCheck.(pair seed_gen (int_range 1 8))
-    (fun (seed, k) ->
+    QCheck.(triple seed_gen (int_range 1 8) (int_range 1 4))
+    (fun (seed, k, domains) ->
       let topo = random_topo seed in
       let origins = pick_origins topo seed k in
       let configs = Array.map (fun origin -> Announce.default ~origin) origins in
+      with_domains domains @@ fun () ->
       with_cache true @@ fun () ->
-      let states = Rib_cache.run_batch ~provenance:true topo configs in
+      (* Prime the cache without provenance: every lookup that follows
+         must upgrade rather than serve a state without an arena. *)
+      ignore (Pool.map (Rib_cache.run ~provenance:false topo) configs);
+      let states =
+        Pool.map_batches ~batch:4
+          (Array.map (Rib_cache.run ~provenance:true topo))
+          configs
+      in
       Array.for_all Fun.id
         (Array.mapi
            (fun i st -> state_equals_solo topo configs.(i) ~pv:true st)
            states))
 
 (* The sweep itself against the Set-based reference, which shares no
-   code with the kernel: every state of [Scale_sweep.states] at
-   [small_params] (64 origins, chunks through [Rib_cache.run_batch]
-   and [Pool.map_batches]) must equal [Oracle.run] of its config, on
-   one domain and on four. *)
+   code with the kernel: every state [Scale_sweep.map] sees at
+   [small_params] (64 origins, 16 per pool task) must equal
+   [Oracle.run] of its config, on one domain and on four. *)
 let test_sweep_matches_oracle () =
   let p = Beatbgp.Scale_sweep.small_params in
   match Generator.generate_scale p.Beatbgp.Scale_sweep.sp_scale with
@@ -156,17 +174,41 @@ let test_sweep_matches_oracle () =
         (fun domains ->
           with_domains domains @@ fun () ->
           with_cache true @@ fun () ->
-          let states = Beatbgp.Scale_sweep.states p topo in
-          Alcotest.(check int) "one state per origin" 64 (Array.length states);
+          let verdicts =
+            Beatbgp.Scale_sweep.map p topo (fun st ->
+                ( Propagate.origin st,
+                  Propagate.equal st (Oracle.run topo (Propagate.config st))
+                ))
+          in
+          Alcotest.(check int) "one state per origin" 64 (Array.length verdicts);
           Array.iter
-            (fun st ->
+            (fun (origin, ok) ->
               check
                 (Printf.sprintf "domains %d, origin %d: sweep == Oracle.run"
-                   domains (Propagate.origin st))
-                true
-                (Propagate.equal st (Oracle.run topo (Propagate.config st))))
-            states)
+                   domains origin)
+                true ok)
+            verdicts)
         [ 1; 4 ]
+
+(* The sweep streams: states die inside their pool tasks and never
+   reach the RIB cache, so a full [Scale_sweep.run] with the cache on
+   leaves the caller's shard empty, at one domain and at four. *)
+let test_sweep_leaves_cache_empty () =
+  List.iter
+    (fun domains ->
+      with_domains domains @@ fun () ->
+      with_cache true @@ fun () ->
+      Rib_cache.capture (Rib_cache.fresh_shard ()) @@ fun () ->
+      (match Beatbgp.Scale_sweep.run Beatbgp.Scale_sweep.small_params with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "Scale_sweep.run: %s" e);
+      Alcotest.(check int)
+        (Printf.sprintf "domains %d: no cache entries" domains)
+        0 (Rib_cache.size ());
+      Alcotest.(check int)
+        (Printf.sprintf "domains %d: no cache misses" domains)
+        0 (Rib_cache.misses ()))
+    [ 1; 4 ]
 
 (* ---- topology generator totality -------------------------------------- *)
 
@@ -385,24 +427,24 @@ let test_small_scale_topology () =
           Alcotest.(check int)
             "deterministic link count" (Topology.link_count topo)
             (Topology.link_count topo2));
-      (* And batched propagation over it matches sequential. *)
+      (* And the pool fan-out over it matches sequential runs. *)
       let origins = pick_origins topo 3 8 in
       let configs = Array.map (fun origin -> Announce.default ~origin) origins in
-      let batched = Propagate.run_batch topo configs in
+      let states = Pool.map (Propagate.run topo) configs in
       Array.iteri
         (fun i st ->
           check
-            (Printf.sprintf "scale origin %d batched == solo" origins.(i))
+            (Printf.sprintf "scale origin %d fanned-out == solo" origins.(i))
             true
             (Propagate.equal st (Propagate.run topo configs.(i))))
-        batched
+        states
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_batch_equals_sequential;
-      prop_batch_through_cache_and_pool;
-      prop_batch_provenance_through_cache;
+      prop_pool_equals_sequential;
+      prop_sweep_map_equals_sequential;
+      prop_pool_provenance_through_cache;
       prop_random_shapes_never_raise;
       prop_removed_links_partition;
       prop_constructors_match_oracle;
@@ -413,8 +455,11 @@ let suite =
       Alcotest.test_case "star at the 2^20 AS cap" `Slow test_star_at_cap;
       Alcotest.test_case "generate_scale rejects out-of-cap params" `Quick
         test_generate_scale_caps;
-      Alcotest.test_case "small scale topology: invariants, CSR, batching"
-        `Quick test_small_scale_topology;
+      Alcotest.test_case "small scale topology: invariants, CSR, fan-out"
+        `Quick
+        test_small_scale_topology;
       Alcotest.test_case "scale sweep states equal the Set-based reference"
         `Quick test_sweep_matches_oracle;
+      Alcotest.test_case "scale sweep leaves the RIB cache empty" `Quick
+        test_sweep_leaves_cache_empty;
     ]
