@@ -21,32 +21,10 @@ verify: build test
 	grep -q "latency.rtt.ms" /tmp/beatbgp_verify.out
 	dune exec bin/beatbgp_cli.exe -- fig1 --small --metrics-out /tmp/beatbgp_verify.json > /dev/null
 	grep -q '"counters"' /tmp/beatbgp_verify.json
-	dune exec bin/beatbgp_cli.exe -- dynamics --small > /tmp/beatbgp_dynamics.out
-	diff -u test/golden/dynamics_small.txt /tmp/beatbgp_dynamics.out
-	NETSIM_DOMAINS=1 dune exec bin/beatbgp_cli.exe -- robustness --small > /tmp/beatbgp_robustness_d1.out
-	diff -u test/golden/robustness_small.txt /tmp/beatbgp_robustness_d1.out
-	NETSIM_DOMAINS=4 dune exec bin/beatbgp_cli.exe -- robustness --small > /tmp/beatbgp_robustness_d4.out
-	diff -u test/golden/robustness_small.txt /tmp/beatbgp_robustness_d4.out
-	dune exec bench/micro_dynamics.exe -- --check
-	# RIB cache transparency: the whole pipeline must match its golden
-	# and be byte-identical with the cache enabled vs disabled, serially
-	# and with a 4-domain pool.
-	NETSIM_DOMAINS=1 dune exec bin/beatbgp_cli.exe -- all --small > /tmp/beatbgp_all_d1.out
-	diff -u test/golden/all_small.txt /tmp/beatbgp_all_d1.out
-	NETSIM_DOMAINS=1 dune exec bin/beatbgp_cli.exe -- all --small --no-rib-cache > /tmp/beatbgp_all_d1_nocache.out
-	diff -u /tmp/beatbgp_all_d1.out /tmp/beatbgp_all_d1_nocache.out
-	NETSIM_DOMAINS=4 dune exec bin/beatbgp_cli.exe -- all --small > /tmp/beatbgp_all_d4.out
-	diff -u /tmp/beatbgp_all_d1.out /tmp/beatbgp_all_d4.out
-	NETSIM_DOMAINS=4 dune exec bin/beatbgp_cli.exe -- all --small --no-rib-cache > /tmp/beatbgp_all_d4_nocache.out
-	diff -u /tmp/beatbgp_all_d1.out /tmp/beatbgp_all_d4_nocache.out
-	# Flight-recorder determinism: the event log must be byte-identical
-	# run-to-run and across domain counts.
-	NETSIM_DOMAINS=1 dune exec bin/beatbgp_cli.exe -- dynamics --small --event-log /tmp/beatbgp_events_a.jsonl > /dev/null
-	NETSIM_DOMAINS=1 dune exec bin/beatbgp_cli.exe -- dynamics --small --event-log /tmp/beatbgp_events_b.jsonl > /dev/null
-	diff -q /tmp/beatbgp_events_a.jsonl /tmp/beatbgp_events_b.jsonl
-	NETSIM_DOMAINS=4 dune exec bin/beatbgp_cli.exe -- dynamics --small --event-log /tmp/beatbgp_events_d4.jsonl > /dev/null
-	diff -q /tmp/beatbgp_events_a.jsonl /tmp/beatbgp_events_d4.jsonl
-	head -1 /tmp/beatbgp_events_a.jsonl | grep -q '"schema":"beatbgp.events/1"'
+	# The golden and cross-config diffs of `all`, `robustness`, `dynamics`
+	# and its event log (domains 1/4, RIB cache on/off), and the
+	# `micro_dynamics --check` equivalence suite, run in `dune runtest`;
+	# see test/dune.
 	# Exporter smoke: Prometheus text format and a parseable Perfetto trace.
 	dune exec bin/beatbgp_cli.exe -- fig1 --small --metrics-prom /tmp/beatbgp_verify.prom --trace-perfetto /tmp/beatbgp_verify_trace.json > /dev/null
 	grep -q '# TYPE netsim_bgp_announcements_exported_total counter' /tmp/beatbgp_verify.prom

@@ -574,11 +574,10 @@ let serve_cmd =
 
 (* ---- internet scale ---- *)
 
-let run_scale small seed origins check domains no_rib_cache trace =
+let run_scale small seed origins check domains trace =
   (match domains with
   | Some n -> Netsim_par.Pool.set_domain_count n
   | None -> ());
-  if no_rib_cache then Netsim_bgp.Rib_cache.set_enabled false;
   let tracing = trace || Netsim_obs.Metrics.enabled () in
   if tracing then Netsim_obs.Metrics.set_enabled true;
   let base =
@@ -632,16 +631,16 @@ let scale_cmd =
          origin's routing state to a summary inside its task, and \
          reports aggregate reachability, path-length and route-class \
          statistics.  Output is byte-identical for any $(b,--domains) \
-         value and RIB-cache setting (the sweep does not use the \
-         cache); with $(b,--check) every state is compared with a \
-         second propagation of its origin.";
+         value; the sweep does not use the RIB cache.  With \
+         $(b,--check) every state is compared with a second \
+         propagation of its origin.";
     ]
   in
   Cmd.v
     (Cmd.info "scale" ~doc ~man)
     Term.(
       const run_scale $ small_t $ seed_t $ origins_t $ check_t
-      $ domains_t $ no_rib_cache_t $ trace_t)
+      $ domains_t $ trace_t)
 
 (* ---- route provenance ---- *)
 

@@ -162,7 +162,7 @@ let c_exported = Netsim_obs.Metrics.counter "bgp.announcements_exported"
 let c_selected = Netsim_obs.Metrics.counter "bgp.routes_selected"
 let c_visited = Netsim_obs.Metrics.counter "bgp.ases_visited"
 
-let record_run_stats ~tracing n (cust : int array) peer prov =
+let record_run_stats ~tracing ~exported n (cust : int array) peer prov =
   if tracing then begin
     let selected = ref 0 and visited = ref 0 in
     for x = 0 to n - 1 do
@@ -172,6 +172,7 @@ let record_run_stats ~tracing n (cust : int array) peer prov =
       if v then Stdlib.incr selected;
       if c || p || v then Stdlib.incr visited
     done;
+    Netsim_obs.Metrics.add c_exported exported;
     Netsim_obs.Metrics.add c_selected !selected;
     Netsim_obs.Metrics.add c_visited !visited
   end
@@ -223,13 +224,14 @@ type receivers = All | Dirty of bool array * Relation.rel
    into the bucket's prefix; an export pass then pushes, at [len + 1],
    from each newly settled target for which [exports] holds, over its
    adjacency rows [seg_off]/[seg_words] to the ASes [recv] admits.
-   Exports only depend on the final winner, which is already known.
+   Exports only depend on the final winner, which is already known;
+   each one pushed bumps [pushed].
 
    Provenance, when [pva] is given: every arrival is counted, and the
    two-minima settle offers every candidate but the minimum as a
    runner-up (each comparison permanently discards one), so the arena
    is independent of arrival order. *)
-let drain q ~origin ~table ~seg_off ~seg_words ~exports ~recv ~tracing ~pva
+let drain q ~origin ~table ~seg_off ~seg_words ~exports ~recv ~pushed ~pva
     ~cls =
   while q.pending > 0 do
     let len, b, sz = levels_next q in
@@ -271,7 +273,7 @@ let drain q ~origin ~table ~seg_off ~seg_words ~exports ~recv ~tracing ~pva
                 mask.(next) && Topology.pn_rel pn == rel
           in
           if admitted && next <> origin then begin
-            if tracing then Netsim_obs.Metrics.incr c_exported;
+            incr pushed;
             levels_push q ~len:(len + 1)
               (q_pack ~parent:target ~link:(Topology.pn_link pn) ~target:next
                  ~ne:false)
@@ -316,10 +318,12 @@ let run ?provenance topo config =
   let bc = Array.make n (-1)
   and bp = Array.make n (-1)
   and bv = Array.make n (-1) in
+  (* Announcements exported; added to [c_exported] once per run. *)
+  let exported = ref 0 in
   let push_seeds q ~klass =
     List.iter
       (fun (target, len, (_ : int), (link : Relation.link), ne) ->
-        if tracing then Netsim_obs.Metrics.incr c_exported;
+        incr exported;
         levels_push q ~len
           (q_pack ~parent:origin ~link:link.Relation.id ~target ~ne))
       (seeds topo config ~klass)
@@ -330,7 +334,7 @@ let run ?provenance topo config =
   drain q ~origin ~table:bc ~seg_off:part.Topology.up_off
     ~seg_words:part.Topology.up_words
     ~exports:(fun x -> not (e_ne bc.(x)))
-    ~recv:All ~tracing ~pva ~cls:0;
+    ~recv:All ~pushed:exported ~pva ~cls:0;
   (* ---- Phase 2: peer-learned routes (single lateral step). ---- *)
   List.iter
     (fun (target, len, (_ : int), (link : Relation.link), ne) ->
@@ -364,7 +368,7 @@ let run ?provenance topo config =
         let pn = down_w.(i) in
         let down = Topology.pn_peer pn in
         if down <> origin then begin
-          if tracing then Netsim_obs.Metrics.incr c_exported;
+          incr exported;
           levels_push q ~len:(e_len ex + 1)
             (q_pack ~parent:x ~link:(Topology.pn_link pn) ~target:down
                ~ne:false)
@@ -375,8 +379,8 @@ let run ?provenance topo config =
      best; [bc]/[bp] are final by now. *)
   drain q ~origin ~table:bv ~seg_off:down_off ~seg_words:down_w
     ~exports:(fun x -> bc.(x) < 0 && bp.(x) < 0 && not (e_ne bv.(x)))
-    ~recv:All ~tracing ~pva ~cls:2;
-  record_run_stats ~tracing n bc bp bv;
+    ~recv:All ~pushed:exported ~pva ~cls:2;
+  record_run_stats ~tracing ~exported:!exported n bc bp bv;
   Option.iter
     (fun a -> record_provenance_stats ~tracing n ~origin a bc bp bv)
     pva;
@@ -658,7 +662,7 @@ let reconverge ?provenance s ~topo delta =
   drain q ~origin ~table:cust ~seg_off:off ~seg_words:wrd
     ~exports:(fun t -> not (e_ne cust.(t)))
     ~recv:(Dirty (dc, Relation.To_provider))
-    ~tracing:false ~pva:None ~cls:0;
+    ~pushed:(ref 0) ~pva:None ~cls:0;
   (* ---- Phase 2 (restricted): peer-learned routes, pulled per dirty
      target over its full lateral candidate set. ---- *)
   let peer_seeds = seeds topo config ~klass:Route.Peer in
@@ -708,7 +712,7 @@ let reconverge ?provenance s ~topo delta =
   drain q ~origin ~table:prov ~seg_off:off ~seg_words:wrd
     ~exports:(fun t -> cust.(t) < 0 && peer.(t) < 0 && not (e_ne prov.(t)))
     ~recv:(Dirty (dv, Relation.To_customer))
-    ~tracing:false ~pva:None ~cls:2;
+    ~pushed:(ref 0) ~pva:None ~cls:2;
   let stats =
     {
       rs_dirty_cust = !nd_c;

@@ -13,14 +13,15 @@
     alias a cached entry.
 
     Domain safety: the cache is sharded per domain (and per pool task,
-    via {!capture}/{!absorb}, mirroring the
-    {!Netsim_obs.Metrics.capture} discipline), so no locking is
+    via {!capture}/{!absorb}, beside the task's
+    {!Netsim_obs.Capture.run}), so no locking is
     involved and results — including hit/miss counters — are
     byte-identical for any [NETSIM_DOMAINS] value.
 
     Controlled by [NETSIM_RIB_CACHE] (["0"]/["false"]/["off"] disable),
     [NETSIM_RIB_CACHE_SIZE] (entries per shard, default 64) and the
-    CLI's [--no-rib-cache] flag.  See doc/performance.md. *)
+    [--no-rib-cache] flag of [beatbgp all] and the figure commands.
+    See doc/performance.md. *)
 
 val run :
   ?provenance:bool -> Netsim_topo.Topology.t -> Announce.t -> Propagate.state

@@ -1,6 +1,5 @@
 module Quantile = Netsim_stats.Quantile
 module Rtt = Netsim_latency.Rtt
-module Window = Netsim_traffic.Window
 module Prefix = Netsim_traffic.Prefix
 
 type choice = Use_anycast | Use_site of int
@@ -10,19 +9,12 @@ type table = {
   by_prefix : (int, choice) Hashtbl.t;  (** ECS prefixes only. *)
 }
 
-(* Median training RTT of one flow over the training windows. *)
-let flow_median cong ~rng ~windows ~samples_per_window flow =
-  List.map
-    (fun w ->
-      Rtt.samples_ms cong ~rng ~time_min:(Window.mid_time w)
-        ~count:samples_per_window flow)
-    windows
-  |> Array.concat |> Quantile.median
-
 (* Per-prefix training medians for every option; None if unreachable. *)
 let prefix_option_medians any cong ~rng ~windows ~samples_per_window prefix =
   let measure flow_opt =
-    Option.map (flow_median cong ~rng ~windows ~samples_per_window) flow_opt
+    Option.map
+      (Rtt.pooled_median_ms cong ~rng ~windows ~count:samples_per_window)
+      flow_opt
   in
   let anycast = measure (Anycast.anycast_flow any prefix) in
   let sites =

@@ -1,7 +1,6 @@
 module Sm = Netsim_prng.Splitmix
 module Cdf = Netsim_stats.Cdf
 module Series = Netsim_stats.Series
-module Quantile = Netsim_stats.Quantile
 module Window = Netsim_traffic.Window
 module Prefix = Netsim_traffic.Prefix
 module Relation = Netsim_topo.Relation
@@ -13,15 +12,6 @@ type result = {
   peer_vs_transit : (float * float) list;
   private_vs_public : (float * float) list;
 }
-
-(* Median MinRTT of one route option pooled over the whole horizon. *)
-let route_median cong ~rng ~windows ~samples (o : Egress.option_route) =
-  List.map
-    (fun w ->
-      Rtt.samples_ms cong ~rng ~time_min:(Window.mid_time w) ~count:samples
-        o.Egress.flow)
-    windows
-  |> Array.concat |> Quantile.median
 
 let clamp lo hi v = Float.max lo (Float.min hi v)
 
@@ -38,8 +28,10 @@ let run (fb : Scenario.facebook) =
   Array.iter
     (fun (entry : Egress.entry) ->
       let weight = entry.Egress.prefix.Prefix.weight in
-      let median o =
-        route_median fb.Scenario.fb_congestion ~rng ~windows ~samples o
+      (* Median MinRTT of one route option pooled over the horizon. *)
+      let median (o : Egress.option_route) =
+        Rtt.pooled_median_ms fb.Scenario.fb_congestion ~rng ~windows
+          ~count:samples o.Egress.flow
       in
       let best options =
         match options with

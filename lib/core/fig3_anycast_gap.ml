@@ -1,7 +1,6 @@
 module Sm = Netsim_prng.Splitmix
 module Cdf = Netsim_stats.Cdf
 module Series = Netsim_stats.Series
-module Quantile = Netsim_stats.Quantile
 module Window = Netsim_traffic.Window
 module Prefix = Netsim_traffic.Prefix
 module Region = Netsim_geo.Region
@@ -21,14 +20,6 @@ type per_client = {
 
 type result = { figure : Figure.t; clients : per_client list }
 
-let flow_median cong ~rng ~windows ~samples flow =
-  List.map
-    (fun w ->
-      Rtt.samples_ms cong ~rng ~time_min:(Window.mid_time w) ~count:samples
-        flow)
-    windows
-  |> Array.concat |> Quantile.median
-
 let nearest_sites sites ~city ~k =
   let c = World.cities.(city) in
   List.map (fun s -> (City.distance_km c World.cities.(s), s)) sites
@@ -47,8 +38,8 @@ let measure_clients ?(nearby_sites = 8) (ms : Scenario.microsoft) =
          | None -> None
          | Some any_flow ->
              let anycast_ms =
-               flow_median ms.Scenario.ms_congestion ~rng ~windows ~samples
-                 any_flow
+               Rtt.pooled_median_ms ms.Scenario.ms_congestion ~rng ~windows
+                 ~count:samples any_flow
              in
              let anycast_site = Walk.entry_metro any_flow.Rtt.walk in
              let candidates =
@@ -63,8 +54,8 @@ let measure_clients ?(nearby_sites = 8) (ms : Scenario.microsoft) =
                    | None -> acc
                    | Some flow ->
                        let m =
-                         flow_median ms.Scenario.ms_congestion ~rng ~windows
-                           ~samples flow
+                         Rtt.pooled_median_ms ms.Scenario.ms_congestion ~rng
+                           ~windows ~count:samples flow
                        in
                        (match acc with
                        | None -> Some (m, site)

@@ -31,14 +31,6 @@ let half_split windows =
   in
   go 0 [] windows
 
-let eval_samples cong ~rng ~windows ~samples flow =
-  List.map
-    (fun w ->
-      Rtt.samples_ms cong ~rng ~time_min:(Window.mid_time w) ~count:samples
-        flow)
-    windows
-  |> Array.concat
-
 let clamp lo hi v = Float.max lo (Float.min hi v)
 
 let run (ms : Scenario.microsoft) =
@@ -66,12 +58,12 @@ let run (ms : Scenario.microsoft) =
            match (anycast_flow, chosen_flow) with
            | Some af, Some cf ->
                let a =
-                 eval_samples ms.Scenario.ms_congestion ~rng
-                   ~windows:eval_windows ~samples af
+                 Rtt.pooled_samples_ms ms.Scenario.ms_congestion ~rng
+                   ~windows:eval_windows ~count:samples af
                in
                let c =
-                 eval_samples ms.Scenario.ms_congestion ~rng
-                   ~windows:eval_windows ~samples cf
+                 Rtt.pooled_samples_ms ms.Scenario.ms_congestion ~rng
+                   ~windows:eval_windows ~count:samples cf
                in
                Some
                  {

@@ -26,13 +26,9 @@ let eval_margin (ms : Scenario.microsoft) ~rng ~train_windows ~eval_windows
       ~cong:ms.Scenario.ms_congestion ~rng ~windows:train_windows
       ~samples_per_window:3
   in
-  let samples flow =
-    List.map
-      (fun w ->
-        Rtt.samples_ms ms.Scenario.ms_congestion ~rng
-          ~time_min:(Window.mid_time w) ~count:3 flow)
-      eval_windows
-    |> Array.concat
+  let samples =
+    Rtt.pooled_samples_ms ms.Scenario.ms_congestion ~rng ~windows:eval_windows
+      ~count:3
   in
   let improvements = ref [] in
   Array.iter

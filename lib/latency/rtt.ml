@@ -72,3 +72,14 @@ let sample_ms cong ~rng ~time_min flow =
 
 let median_of_samples cong ~rng ~time_min ~count flow =
   Netsim_stats.Quantile.median (samples_ms cong ~rng ~time_min ~count flow)
+
+let pooled_samples_ms cong ~rng ~windows ~count flow =
+  List.map
+    (fun w ->
+      samples_ms cong ~rng ~time_min:(Netsim_traffic.Window.mid_time w) ~count
+        flow)
+    windows
+  |> Array.concat
+
+let pooled_median_ms cong ~rng ~windows ~count flow =
+  Netsim_stats.Quantile.median (pooled_samples_ms cong ~rng ~windows ~count flow)

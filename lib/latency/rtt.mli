@@ -62,3 +62,22 @@ val median_of_samples :
   float
 (** Median of {!samples_ms} (jitter varies; congestion state is that
     of [time_min]). *)
+
+val pooled_samples_ms :
+  Congestion.t ->
+  rng:Netsim_prng.Splitmix.t ->
+  windows:Netsim_traffic.Window.t list ->
+  count:int ->
+  flow ->
+  float array
+(** One flow's samples pooled over a horizon: [count] {!samples_ms} at
+    each window's midpoint, in list order, concatenated. *)
+
+val pooled_median_ms :
+  Congestion.t ->
+  rng:Netsim_prng.Splitmix.t ->
+  windows:Netsim_traffic.Window.t list ->
+  count:int ->
+  flow ->
+  float
+(** Median of {!pooled_samples_ms}. *)

@@ -20,22 +20,20 @@ let enabled () = !on
    Netsim_par pool) must not touch it concurrently, so every record
    site first consults a domain-local slot: [None] (the default in
    every domain) means "write straight into the global registry";
-   [Some buf] means "append to this buffer".  [capture] installs a
-   fresh buffer around a task and returns the ordered event list;
-   [absorb] replays it through the normal record path.  Replaying the
-   per-task buffers in submission order reproduces, event for event,
-   the sequence of record calls a sequential run would have made — so
-   the merged registry is byte-identical regardless of domain count. *)
+   [Some buf] means "record into this buffer".  [capture] installs a
+   fresh buffer around a task and [absorb] merges it into the registry.
+   Counters commute, so a buffer keeps one running sum per name;
+   gauge writes and histogram observations do not (last write wins; a
+   histogram's float sum depends on the order of its samples), so they
+   stay an ordered event log that [absorb] replays.  Absorbing the
+   per-task buffers in submission order therefore leaves the registry
+   byte-identical regardless of domain count. *)
 
-type event =
-  | Ev_counter of string * int
-  | Ev_gauge of string * float
-  | Ev_observe of string * float
+type event = Ev_gauge of string * float | Ev_observe of string * float
 
 type buffer = {
-  mutable events : event list;  (** newest first *)
-  live : (string, int ref) Hashtbl.t;
-      (** running counter values, for span counter deltas *)
+  mutable events : event list;  (** newest first while recording *)
+  sums : (string, int ref) Hashtbl.t;  (** counter increments by name *)
 }
 
 let buffer_key : buffer option Domain.DLS.key =
@@ -57,8 +55,7 @@ let counter name =
       | Some _ ->
           (* Inside a capture: never mutate the global table.  The
              detached handle still records by name, and [absorb]
-             registers the name (in deterministic replay order) when
-             the buffer is merged. *)
+             registers the name when the buffer is merged. *)
           { c_id = -1; c_name = name; c_value = 0 }
       | None ->
           let c = { c_id = !n_counters; c_name = name; c_value = 0 } in
@@ -67,30 +64,25 @@ let counter name =
           counter_list := c :: !counter_list;
           c)
 
-let buffer_incr buf name by =
-  buf.events <- Ev_counter (name, by) :: buf.events;
-  match Hashtbl.find_opt buf.live name with
+let buffer_add buf name by =
+  match Hashtbl.find_opt buf.sums name with
   | Some r -> r := !r + by
-  | None -> Hashtbl.replace buf.live name (ref by)
-
-let incr ?(by = 1) c =
-  if !on then
-    match Domain.DLS.get buffer_key with
-    | None -> c.c_value <- c.c_value + by
-    | Some buf -> buffer_incr buf c.c_name by
+  | None -> Hashtbl.replace buf.sums name (ref by)
 
 let add c by =
   if !on then
     match Domain.DLS.get buffer_key with
     | None -> c.c_value <- c.c_value + by
-    | Some buf -> buffer_incr buf c.c_name by
+    | Some buf -> buffer_add buf c.c_name by
+
+let incr c = add c 1
 
 let counter_value c =
   match Domain.DLS.get buffer_key with
   | None -> c.c_value
   | Some buf -> (
       (* Within a capture only the task's own increments are visible. *)
-      match Hashtbl.find_opt buf.live c.c_name with
+      match Hashtbl.find_opt buf.sums c.c_name with
       | Some r -> !r
       | None -> 0)
 
@@ -222,7 +214,7 @@ type snapshot =
   | Snap_buffered of (string * int) list  (** sorted buffer values *)
 
 let buffer_values buf =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) buf.live []
+  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) buf.sums []
   |> List.sort compare
 
 let counter_snapshot () =
@@ -257,34 +249,39 @@ let counter_deltas snap =
 
 (* ---- capture / absorb ------------------------------------------------ *)
 
-type captured = event list  (** oldest first *)
+type captured = buffer  (** [events] oldest first *)
 
 let capture f =
   let saved = Domain.DLS.get buffer_key in
-  let buf = { events = []; live = Hashtbl.create 32 } in
+  let buf = { events = []; sums = Hashtbl.create 32 } in
   Domain.DLS.set buffer_key (Some buf);
   match f () with
   | v ->
       Domain.DLS.set buffer_key saved;
-      (v, List.rev buf.events)
+      buf.events <- List.rev buf.events;
+      (v, buf)
   | exception e ->
       Domain.DLS.set buffer_key saved;
       raise e
 
-let absorb events =
-  List.iter
-    (fun ev ->
-      match (ev, Domain.DLS.get buffer_key) with
-      | Ev_counter (name, by), None ->
+let absorb cap =
+  match Domain.DLS.get buffer_key with
+  | None ->
+      Hashtbl.iter
+        (fun name r ->
           let c = counter name in
-          c.c_value <- c.c_value + by
-      | Ev_gauge (name, v), None -> (gauge name).g_value <- v
-      | Ev_observe (name, v), None -> observe_direct (histogram name) v
+          c.c_value <- c.c_value + !r)
+        cap.sums;
+      List.iter
+        (function
+          | Ev_gauge (name, v) -> (gauge name).g_value <- v
+          | Ev_observe (name, v) -> observe_direct (histogram name) v)
+        cap.events
+  | Some outer ->
       (* Absorbing inside an outer capture just re-buffers, so nested
          fan-outs compose. *)
-      | Ev_counter (name, by), Some buf -> buffer_incr buf name by
-      | (Ev_gauge _ | Ev_observe _), Some buf -> buf.events <- ev :: buf.events)
-    events
+      Hashtbl.iter (fun name r -> buffer_add outer name !r) cap.sums;
+      outer.events <- List.rev_append cap.events outer.events
 
 (* ---- runtime gauges -------------------------------------------------- *)
 
@@ -307,6 +304,15 @@ let set_runtime name v =
         match Hashtbl.find_opt runtime name with
         | Some r -> r := v
         | None -> Hashtbl.replace runtime name (ref v))
+
+let sample_gc () =
+  if !on && Option.is_none (Domain.DLS.get buffer_key) then begin
+    let gc = Gc.quick_stat () and f = float_of_int in
+    set_runtime "gc.minor_collections" (f gc.Gc.minor_collections);
+    set_runtime "gc.major_collections" (f gc.Gc.major_collections);
+    set_runtime "gc.promoted_words" gc.Gc.promoted_words;
+    set_runtime "gc.heap_words" (f gc.Gc.heap_words)
+  end
 
 let runtime_rows () =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) runtime []

@@ -13,13 +13,13 @@
     counter everywhere, so modules declare their metrics at top level
     and pay only the flag check per event.
 
-    The registry is owned by the main domain.  Worker domains (the
-    {!Netsim_par.Pool}) wrap each task in {!capture}, which redirects
-    every record site in that domain to a private ordered event
-    buffer; the pool then {!absorb}s the buffers in task-submission
-    order.  Replay reproduces the exact sequence of record calls a
-    sequential run would make, so the merged registry — and its JSON —
-    is byte-identical for any domain count. *)
+    The registry is owned by the main domain.  {!Netsim_par.Pool} runs
+    every task inside {!Capture.run}, which (through {!capture})
+    redirects every record site in that domain to a private buffer;
+    the pool then absorbs the buffers in task-submission order.  A
+    buffer holds one sum per counter name and an ordered log of gauge
+    writes and histogram observations, so the merged registry — and
+    its JSON — is byte-identical for any domain count. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -31,7 +31,7 @@ type counter
 val counter : string -> counter
 (** Find-or-create the counter registered under this name. *)
 
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 
@@ -69,10 +69,12 @@ val counter_deltas : snapshot -> (string * int) list
     a {!capture}, both operate on the capture buffer, so span counter
     deltas keep working in pool workers. *)
 
-(** {1 Capture} — domain-local buffering for the parallel pool. *)
+(** {1 Capture} — domain-local buffering for the parallel pool; the
+    metrics half of {!Capture}. *)
 
 type captured
-(** An ordered log of the record events a task performed. *)
+(** One sum per counter name, plus gauge writes and histogram
+    observations in the order they happened. *)
 
 val capture : (unit -> 'a) -> 'a * captured
 (** [capture f] runs [f] with every record site in the current domain
@@ -82,11 +84,11 @@ val capture : (unit -> 'a) -> 'a * captured
     (the inner buffer simply shadows the outer for the duration). *)
 
 val absorb : captured -> unit
-(** Replay a captured log through the normal record path: counters
-    add, gauges overwrite, histogram observations re-bucket, and
-    unseen names register — all in the captured order.  Absorbing
-    per-task logs in submission order therefore leaves the registry
-    byte-identical to a sequential run. *)
+(** Merge a buffer into the registry (or the enclosing capture): sums
+    add, unseen names register, gauge writes and observations replay
+    in order.  Absorbing per-task buffers in submission order leaves
+    every value as a sequential run would (counters may register in
+    another order; every reader sorts by name). *)
 
 (** {1 Reporting} *)
 
@@ -118,6 +120,10 @@ val histogram_export : unit -> (string * (float * int) list * Netsim_stats.Summa
 val set_runtime : string -> float -> unit
 (** No-op when disabled or inside a {!capture} (worker domains never
     write runtime samples). *)
+
+val sample_gc : unit -> unit
+(** Sample [Gc.quick_stat] into the four [gc.*] runtime gauges; same
+    no-op rule as {!set_runtime}. *)
 
 val runtime_rows : unit -> (string * float) list
 

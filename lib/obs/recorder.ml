@@ -8,10 +8,11 @@
    determinism.
 
    Domain safety mirrors Metrics: the ring is owned by the main
-   domain, pool workers record into a domain-local capture buffer and
-   Netsim_par.Pool.map absorbs the buffers in task-submission order,
-   so the event sequence — including sequence numbers and ring drops —
-   is identical for any NETSIM_DOMAINS. *)
+   domain, every pool task records into a domain-local capture buffer
+   (part of its Capture.run) and Netsim_par.Pool.map absorbs the
+   buffers in task-submission order, so the event sequence — including
+   sequence numbers and ring drops — is identical for any
+   NETSIM_DOMAINS. *)
 
 type field =
   | I of string * int
@@ -118,12 +119,9 @@ let capture f =
       raise e
 
 let absorb events =
-  List.iter
-    (fun ev ->
-      match Domain.DLS.get buffer_key with
-      | None -> append ev
-      | Some buf -> buf := ev :: !buf)
-    events
+  match Domain.DLS.get buffer_key with
+  | None -> List.iter append events
+  | Some buf -> buf := List.rev_append events !buf
 
 (* ---- introspection / flush ------------------------------------------- *)
 

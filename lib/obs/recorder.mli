@@ -53,8 +53,8 @@ val to_jsonl : unit -> string
 
 (** {2 Deterministic parallel fan-in}
 
-    Mirrors [Metrics.capture]/[absorb]: pool workers wrap each task in
-    {!capture} and the main domain replays the buffers in
+    The recorder half of {!Capture}: every pool task records into a
+    {!capture} buffer and the calling domain appends the buffers in
     task-submission order, so sequence numbers and ring-drop behaviour
     are independent of the domain count. *)
 

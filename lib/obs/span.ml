@@ -27,7 +27,7 @@ type frame = { node : node; start : float; snap : Metrics.snapshot }
 
 (* The tree and the open-span stack are domain-local: the main domain
    owns the tree that [render]/[to_json] report on, while each pool
-   worker accumulates into its own scratch tree inside [capture] and
+   task accumulates into its own scratch tree inside [capture] and
    the pool re-parents it under the fan-out span via [absorb]. *)
 type dstate = { mutable root : node; mutable stack : frame list }
 
@@ -81,16 +81,9 @@ let with_ ~name f =
         node.total_ms <- node.total_ms +. (now_ms () -. frame.start);
         node.counters <-
           merge_counters node.counters (Metrics.counter_deltas frame.snap);
-        (* Sample GC state at every span boundary.  [set_runtime] is a
-           no-op inside a capture, so pool workers skip the sample and
-           the runtime table only ever sees main-domain values. *)
-        let gc = Gc.quick_stat () in
-        Metrics.set_runtime "gc.minor_collections"
-          (float_of_int gc.Gc.minor_collections);
-        Metrics.set_runtime "gc.major_collections"
-          (float_of_int gc.Gc.major_collections);
-        Metrics.set_runtime "gc.promoted_words" gc.Gc.promoted_words;
-        Metrics.set_runtime "gc.heap_words" (float_of_int gc.Gc.heap_words))
+        (* Sample GC state at every span boundary (a no-op inside a
+           capture: [absorb] samples for the task's spans instead). *)
+        Metrics.sample_gc ())
       f
   end
 
@@ -144,7 +137,9 @@ let absorb cap =
        sequential creation order. *)
     List.iter (merge dst) (List.rev n.children)
   in
-  List.iter (merge parent) (List.rev cap.children)
+  List.iter (merge parent) (List.rev cap.children);
+  (* The GC sample the captured span closes skipped. *)
+  if cap.children <> [] then Metrics.sample_gc ()
 
 let rec names_of acc i =
   let acc = if List.mem i.i_name acc then acc else i.i_name :: acc in

@@ -33,13 +33,16 @@ val render : unit -> string
 val to_json : unit -> Jsonx.t
 val reset : unit -> unit
 
-(** {1 Capture} — domain-local trees for the parallel pool.
+(** {1 Capture} — domain-local trees for the parallel pool; the span
+    half of {!Capture}.
 
     The span tree and open-span stack are per-domain, so concurrent
     workers never race.  {!capture} runs a task against a fresh
     scratch tree; {!absorb} re-parents the captured subtree under the
     currently open span (the fan-out point), merging same-name nodes
-    exactly as sequential execution would have. *)
+    exactly as sequential execution would have, and takes the GC
+    sample ({!Metrics.sample_gc}) that the captured span closes
+    skipped. *)
 
 type captured
 

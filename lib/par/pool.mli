@@ -8,31 +8,23 @@
     handed to the pool is: one Gao–Rexford propagation per prefix, one
     full figure pipeline per seed).
 
-    Observability stays deterministic too: when tracing is enabled,
-    each task runs inside {!Netsim_obs.Metrics.capture} /
-    {!Netsim_obs.Span.capture}, and the per-task buffers are absorbed
-    into the global registry in submission order after the join —
-    counters sum, gauges keep the last (submission-order) write,
-    histogram observations replay one by one, and span subtrees
-    re-parent under the span open at the fan-out point.  Replay
-    reproduces the exact record-call sequence of a sequential run, so
-    metrics JSON is byte-identical for any domain count (span
-    wall-clock times vary run to run, exactly as they do serially).
+    Every task runs the same way, at any domain count and nested or
+    not: inside one {!Netsim_obs.Capture.run} and against a fresh
+    {!Netsim_bgp.Rib_cache} shard, both absorbed in submission order
+    after the join (counters sum, gauges keep the last write,
+    observations and recorder events replay in order, span subtrees
+    re-parent under the span open at the fan-out point).  So metrics
+    JSON, span shapes and event logs are byte-identical for any domain
+    count; only span wall-clock times vary, as they do serially.
 
-    The pool size comes from the [NETSIM_DOMAINS] environment variable
-    (default: {!Domain.recommended_domain_count}).  With one domain,
-    [map] is literally [Array.map] — the exact pre-pool code path,
-    with no capture overhead.  Nested [map] calls from inside a worker
-    run sequentially rather than re-entering the pool, so composed
-    layers (a figure fan-out whose figures shard their own
-    propagations) cannot oversubscribe or deadlock.  Likewise, if two
-    non-worker domains call [map] at the same time (the serve daemon's
-    listener domain vs the main domain), one claims the pool and the
-    other degrades to the sequential path — results are identical
-    either way, only the scheduling differs.
-
-    Worker domains are spawned lazily on first parallel use, reused
-    across calls, and joined via [at_exit]. *)
+    The pool size comes from [NETSIM_DOMAINS] (default:
+    {!Domain.recommended_domain_count}).  Only who drains a job
+    varies: the pool, with more than one domain; otherwise the calling
+    domain alone — at one domain, inside a task (a nested [map]), or
+    when another non-worker domain holds the pool (the serve daemon's
+    listener).  Composed layers therefore cannot oversubscribe or
+    deadlock.  Workers are spawned lazily, reused, and joined via
+    [at_exit]. *)
 
 val domain_count : unit -> int
 (** Current pool size (>= 1), from [NETSIM_DOMAINS] or the hardware
@@ -42,17 +34,12 @@ val set_domain_count : int -> unit
 (** Override the pool size (clamped to [1, 64]).  Takes effect on the
     next [map]; already-spawned workers are kept for reuse. *)
 
-val in_worker : unit -> bool
-(** True while executing inside a pool task (where nested maps run
-    sequentially). *)
-
 val map : ('a -> 'b) -> 'a array -> 'b array
-(** Deterministic parallel [Array.map].  If a task raises, the
-    lowest-index exception is re-raised after all tasks settle (obs
-    buffers of the tasks before it are still absorbed, mirroring the
-    partial state a sequential run would have left). *)
-
-val mapi : (int -> 'a -> 'b) -> 'a array -> 'b array
+(** Deterministic parallel [Array.map].  Every task runs, even after
+    one raises; then the lowest-index exception is re-raised.  The
+    results and observability of the tasks before it are merged first;
+    the failing task's partial buffers and everything after it are
+    dropped.  The rule is the same at every domain count. *)
 
 val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** [map] over a list, preserving order. *)
@@ -61,9 +48,7 @@ val map_batches : batch:int -> ('a array -> 'b array) -> 'a array -> 'b array
 (** [map_batches ~batch f arr] cuts [arr] into contiguous chunks of
     [batch] items (the last possibly shorter), runs [f] on each chunk
     as one pool task, and concatenates the per-chunk results — the
-    scale sweep's fan-out, one task per chunk of origins.  Each chunk
-    gets [map]'s per-task observability and RIB-cache shard
-    capture/absorb, so results and counters are byte-identical at any
-    domain count.  [f] must return one result
-    per input item, in order.  @raise Invalid_argument if [batch <= 0]
+    scale sweep's fan-out, one task per chunk of origins, under [map]'s
+    per-task discipline.  [f] must return one result per input item,
+    in order.  @raise Invalid_argument if [batch <= 0]
     or a chunk result length disagrees. *)

@@ -36,9 +36,9 @@ let test_counter_disabled () =
 let test_counter_enabled () =
   let c = Metrics.counter "t.enabled" in
   Metrics.incr c;
-  Metrics.incr ~by:4 c;
+  Metrics.add c 4;
   Metrics.add c 5;
-  Alcotest.(check int) "10 after incr+by+add" 10 (Metrics.counter_value c);
+  Alcotest.(check int) "10 after incr and two adds" 10 (Metrics.counter_value c);
   Alcotest.(check bool) "interned by name" true
     (Metrics.counter_value (Metrics.counter "t.enabled") = 10);
   Metrics.reset ();
@@ -149,8 +149,8 @@ let test_span_nesting () =
 let test_span_counter_deltas () =
   let c = Metrics.counter "t.span.work" in
   Span.with_ ~name:"outer" (fun () ->
-      Metrics.incr ~by:2 c;
-      Span.with_ ~name:"inner" (fun () -> Metrics.incr ~by:5 c));
+      Metrics.add c 2;
+      Span.with_ ~name:"inner" (fun () -> Metrics.add c 5));
   match Span.tree () with
   | [ outer ] ->
       Alcotest.(check (list (pair string int)))
@@ -204,7 +204,7 @@ let test_json_nan_is_null () =
 let test_report_json_parses () =
   let c = Metrics.counter "t.report.c" in
   let h = Metrics.histogram "t.report.h" in
-  Metrics.incr ~by:3 c;
+  Metrics.add c 3;
   Span.with_ ~name:"t.report.span" (fun () -> Metrics.observe h 12.5);
   let doc = Report.to_json () in
   let parsed = parse_json (Jsonx.to_string doc) in
@@ -301,7 +301,7 @@ let test_write_text_roundtrip () =
    precede every metric, histogram buckets are cumulative (monotone),
    and the +Inf bucket equals _count. *)
 let test_prom_format_valid () =
-  Metrics.incr ~by:7 (Metrics.counter "t.prom.count");
+  Metrics.add (Metrics.counter "t.prom.count") 7;
   Metrics.set (Metrics.gauge "t.prom.gauge") 2.5;
   let h = Metrics.histogram "t.prom.hist" in
   List.iter (Metrics.observe h) [ 0.5; 1.; 10.; 100.; 1e9 ];
@@ -520,12 +520,12 @@ let test_recorder_ring_drops () =
 let test_recorder_capture_absorb () =
   Recorder.record ~kind:"t.before" [];
   let (), cap =
-    Recorder.capture (fun () ->
+    Netsim_obs.Capture.run (fun () ->
         Recorder.record ~kind:"t.inside" [ Recorder.I ("i", 1) ];
         Recorder.record ~kind:"t.inside" [ Recorder.I ("i", 2) ])
   in
   Alcotest.(check int) "captured events not yet in ring" 1 (Recorder.size ());
-  Recorder.absorb cap;
+  Netsim_obs.Capture.absorb cap;
   Recorder.record ~kind:"t.after" [];
   let jsonl = Recorder.to_jsonl () in
   Alcotest.(check int) "all four in ring" 4 (Recorder.size ());
@@ -552,13 +552,13 @@ let test_recorder_pool_domain_invariant () =
       (fun () ->
         Recorder.reset ();
         ignore
-          (Netsim_par.Pool.mapi
-             (fun i _ ->
+          (Netsim_par.Pool.map
+             (fun i ->
                Recorder.record ~kind:"t.pool" [ Recorder.I ("task", i) ];
                if i mod 2 = 0 then
                  Recorder.record ~kind:"t.pool.even" [ Recorder.I ("task", i) ];
                i)
-             (Array.make 16 ()));
+             (Array.init 16 Fun.id));
         Recorder.to_jsonl ())
   in
   Alcotest.(check string) "event log byte-identical (1 vs 4 domains)"

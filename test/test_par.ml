@@ -13,6 +13,7 @@ module Announce = Netsim_bgp.Announce
 module Propagate = Netsim_bgp.Propagate
 module Metrics = Netsim_obs.Metrics
 module Span = Netsim_obs.Span
+module Recorder = Netsim_obs.Recorder
 module Jsonx = Netsim_obs.Jsonx
 
 let with_domains d f =
@@ -31,14 +32,6 @@ let prop_map_matches_array_map =
     (fun (d, arr) ->
       let f x = (x * 31) + (x mod 7) in
       with_domains d (fun () -> Pool.map f arr) = Array.map f arr)
-
-let prop_mapi_order =
-  QCheck.Test.make ~name:"Pool.mapi preserves indices and order" ~count:50
-    QCheck.(pair domains_gen (int_range 0 200))
-    (fun (d, n) ->
-      let arr = Array.init n (fun i -> i * 3) in
-      with_domains d (fun () -> Pool.mapi (fun i x -> (i, x)) arr)
-      = Array.mapi (fun i x -> (i, x)) arr)
 
 let prop_nested_map_sequentializes =
   QCheck.Test.make ~name:"nested Pool.map runs and matches nested Array.map"
@@ -166,10 +159,10 @@ let traced_run d =
           Span.reset ();
           Span.with_ ~name:"t.par.fanout" (fun () ->
               ignore
-                (Pool.mapi
-                   (fun i o ->
+                (Pool.map
+                   (fun (i, o) ->
                      Span.with_ ~name:"t.par.task" (fun () ->
-                         Metrics.incr ~by:(i + 1) (Metrics.counter "t.par.work");
+                         Metrics.add (Metrics.counter "t.par.work") (i + 1);
                          Metrics.observe
                            (Metrics.histogram "t.par.obs")
                            (float_of_int (i * 7) +. 0.5);
@@ -178,7 +171,9 @@ let traced_run d =
                          ignore (Propagate.run topo (Announce.default ~origin:o));
                          i))
                    (Array.of_list
-                      (Topology.by_klass (random_topo 3) Asn.Eyeball))));
+                      (List.mapi
+                         (fun i o -> (i, o))
+                         (Topology.by_klass (random_topo 3) Asn.Eyeball)))));
           ( Jsonx.to_string (Metrics.to_json ()),
             String.concat "," (List.map span_shape (Span.tree ())) )))
 
@@ -203,6 +198,123 @@ let test_gauge_last_write_submission_order () =
       Alcotest.(check (float 0.))
         "gauge holds the last task's write (submission order)" 31.
         (Metrics.gauge_value (Metrics.gauge "t.par.g")))
+
+(* Every span of an [all]-style run closes inside a pool task, where
+   no GC sample is taken; the fan-in must still leave the gc.* runtime
+   gauges behind, at any domain count. *)
+let test_pooled_spans_sample_gc () =
+  List.iter
+    (fun d ->
+      with_domains d @@ fun () ->
+      Metrics.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.set_enabled false;
+          Metrics.reset ();
+          Span.reset ())
+        (fun () ->
+          Metrics.reset ();
+          Span.reset ();
+          ignore
+            (Pool.map
+               (fun i -> Span.with_ ~name:"t.par.gc" (fun () -> i))
+               (Array.init 4 Fun.id));
+          let names = List.map fst (Metrics.runtime_rows ()) in
+          List.iter
+            (fun g ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s sampled at %d domains" g d)
+                true (List.mem g names))
+            [
+              "gc.heap_words";
+              "gc.major_collections";
+              "gc.minor_collections";
+              "gc.promoted_words";
+            ]))
+    [ 1; 4 ]
+
+(* ---- a failing task: same fan-in rule at every domain count ---- *)
+
+(* Run [body] with metrics and the flight recorder on, from empty
+   state, and return the metrics JSON, the span shape and the event
+   log it leaves. *)
+let observed d body =
+  with_domains d (fun () ->
+      let recording = Recorder.enabled () in
+      Metrics.set_enabled true;
+      Recorder.set_enabled true;
+      let clear () =
+        Metrics.reset ();
+        Span.reset ();
+        Recorder.reset ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.set_enabled false;
+          Recorder.set_enabled recording;
+          clear ())
+        (fun () ->
+          clear ();
+          body ();
+          ( Jsonx.to_string (Metrics.to_json ()),
+            String.concat "," (List.map span_shape (Span.tree ())),
+            Recorder.to_jsonl () )))
+
+let test_failing_task_obs_domain_invariant () =
+  let c = Metrics.counter "t.par.fail.work" in
+  let h = Metrics.histogram "t.par.fail.obs" in
+  let run d =
+    observed d (fun () ->
+        match
+          Span.with_ ~name:"t.par.fail" (fun () ->
+              Pool.map
+                (fun i ->
+                  Span.with_ ~name:"t.par.fail.task" (fun () ->
+                      Metrics.incr c;
+                      Metrics.observe h (float_of_int i +. 0.5);
+                      Recorder.record ~kind:"t.par.fail"
+                        [ Recorder.I ("task", i) ];
+                      if i = 2 then failwith "task 2";
+                      i))
+                (Array.init 4 Fun.id))
+        with
+        | _ -> Alcotest.fail "expected task 2 to raise"
+        | exception Failure msg ->
+            Alcotest.(check string) "lowest failing task surfaces" "task 2" msg;
+            Alcotest.(check int)
+              (Printf.sprintf "tasks 0 and 1 counted at %d domains" d)
+              2 (Metrics.counter_value c))
+  in
+  let j1, s1, e1 = run 1 and j4, s4, e4 = run 4 in
+  Alcotest.(check string) "metrics JSON byte-identical (1 vs 4 domains)" j1 j4;
+  Alcotest.(check string) "span shape identical (1 vs 4 domains)" s1 s4;
+  Alcotest.(check string) "event log byte-identical (1 vs 4 domains)" e1 e4
+
+let test_nested_map_obs_domain_invariant () =
+  let outer = Metrics.counter "t.par.nest.outer" in
+  let inner = Metrics.counter "t.par.nest.inner" in
+  let h = Metrics.histogram "t.par.nest.obs" in
+  let run d =
+    observed d (fun () ->
+        ignore
+          (Pool.map
+             (fun i ->
+               Span.with_ ~name:"t.par.nest" (fun () ->
+                   Metrics.incr outer;
+                   Pool.map
+                     (fun j ->
+                       Metrics.add inner (j + 1);
+                       Metrics.observe h (float_of_int ((i * 10) + j) +. 0.25);
+                       Recorder.record ~kind:"t.par.nest"
+                         [ Recorder.I ("i", i); Recorder.I ("j", j) ];
+                       j)
+                     (Array.init (1 + (i mod 3)) Fun.id)))
+             (Array.init 6 Fun.id)))
+  in
+  let j1, s1, e1 = run 1 and j4, s4, e4 = run 4 in
+  Alcotest.(check string) "nested metrics JSON byte-identical (1 vs 4)" j1 j4;
+  Alcotest.(check string) "nested span shape identical (1 vs 4)" s1 s4;
+  Alcotest.(check string) "nested event log byte-identical (1 vs 4)" e1 e4
 
 (* ---- traced scenario: end-to-end through the egress shard ---- *)
 
@@ -231,7 +343,6 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_map_matches_array_map;
-      prop_mapi_order;
       prop_nested_map_sequentializes;
       prop_parallel_propagation_identical;
     ]
@@ -248,6 +359,12 @@ let suite =
         test_metrics_byte_identical;
       Alcotest.test_case "gauge last-write follows submission order" `Quick
         test_gauge_last_write_submission_order;
+      Alcotest.test_case "pooled spans leave gc gauges" `Quick
+        test_pooled_spans_sample_gc;
+      Alcotest.test_case "failing task obs domain-invariant" `Quick
+        test_failing_task_obs_domain_invariant;
+      Alcotest.test_case "nested map obs domain-invariant" `Quick
+        test_nested_map_obs_domain_invariant;
       Alcotest.test_case "scenario trace domain-invariant" `Slow
         test_scenario_trace_domain_invariant;
     ]
