@@ -168,7 +168,8 @@ let micro_tests =
            let _, _, _, _, congestion, _ = Lazy.force micro_state in
            ignore
              (Netsim_latency.Congestion.entity_delay_ms congestion
-                (Netsim_latency.Congestion.Link 0) ~time_min:300.)));
+                (Netsim_latency.Congestion.Link 0) ~time_min:300.
+                ~episodes:(ref 0))));
     Test.make ~name:"micro/rtt-samples-window"
       (Staged.stage
          (let rng = Netsim_prng.Splitmix.create 3 in
@@ -181,6 +182,24 @@ let micro_tests =
       (Staged.stage (fun () ->
            let _, _, state, src, _, _ = Lazy.force micro_state in
            ignore (Netsim_bgp.Propagate.received state src)));
+    (* What the daemon pays per read with metrics on: one capture
+       holding a counter add and a histogram observation, then its
+       absorb into the global registry. *)
+    Test.make ~name:"micro/capture-absorb"
+      (Staged.stage
+         (let module M = Netsim_obs.Metrics in
+          let c = M.counter "bench.capture.count"
+          and h = M.histogram "bench.capture.us" in
+          fun () ->
+            let was = M.enabled () in
+            M.set_enabled true;
+            let (), cap =
+              Netsim_obs.Capture.run (fun () ->
+                  M.incr c;
+                  M.observe h 12.5)
+            in
+            Netsim_obs.Capture.absorb cap;
+            M.set_enabled was));
     (* One link failure on the default topology: filter the link array
        and rebuild the CSR arena, as every dynamics delta does. *)
     Test.make ~name:"micro/remove-links"

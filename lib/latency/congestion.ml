@@ -160,13 +160,9 @@ let access_rate_mbps t access_id =
     (Sm.of_label_int t.root "access-rate-" access_id)
     ~mu:(log 120.) ~sigma:0.6
 
-let c_samples = Netsim_obs.Metrics.counter "latency.congestion.samples"
-let c_episodes = Netsim_obs.Metrics.counter "latency.congestion.episodes"
-
-let entity_delay_ms t entity ~time_min =
-  Netsim_obs.Metrics.incr c_samples;
+let entity_delay_ms t entity ~time_min ~episodes =
   let episode = episode_delay_ms t entity ~time_min in
-  if episode > 0. then Netsim_obs.Metrics.incr c_episodes;
+  if episode > 0. then incr episodes;
   match entity with
   | Link i -> episode +. queue_delay_ms t ~link_id:i ~time_min +. t.event_extra.(i)
   | Access _ | Dest_net _ -> episode

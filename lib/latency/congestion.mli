@@ -75,10 +75,10 @@ val access_rate_mbps : t -> int -> float
     the reason the paper's throughput comparison looks like its
     latency comparison. *)
 
-val entity_delay_ms : t -> entity -> time_min:float -> float
+val entity_delay_ms : t -> entity -> time_min:float -> episodes:int ref -> float
 (** Total stochastic delay of an entity at a time: queueing (links
-    only) plus episode delay.  Each call counts once in
-    [latency.congestion.samples] ([.episodes] if one is in force). *)
+    only) plus episode delay.  Bumps [episodes] if an episode is in
+    force, so a caller can count a whole flow and publish once. *)
 
 val diurnal_factor : t -> metro:int -> time_min:float -> float
 (** Local-time load multiplier, mean 1, peaking in the local evening. *)

@@ -23,22 +23,32 @@ let floor_ms params topo cong flow =
   in
   propagation +. access +. flow.extra_ms
 
+let c_congestion_samples =
+  Netsim_obs.Metrics.counter "latency.congestion.samples"
+
+let c_congestion_episodes =
+  Netsim_obs.Metrics.counter "latency.congestion.episodes"
+
+(* Every entity delay counts once in [latency.congestion.samples], and
+   once more in [.episodes] if an episode is in force; both are counted
+   here and added once per call. *)
 let congestion_ms cong ~time_min flow =
+  let samples = ref 0 and episodes = ref 0 in
+  let delay entity =
+    incr samples;
+    Congestion.entity_delay_ms cong entity ~time_min ~episodes
+  in
   let links =
     List.fold_left
       (fun acc (h : Walk.hop) ->
-        acc
-        +. Congestion.entity_delay_ms cong
-             (Congestion.Link h.Walk.link.Netsim_topo.Relation.id)
-             ~time_min)
+        acc +. delay (Congestion.Link h.Walk.link.Netsim_topo.Relation.id))
       0. flow.walk.Walk.hops
   in
-  let shared entity =
-    match entity with
-    | Some e -> Congestion.entity_delay_ms cong e ~time_min
-    | None -> 0.
-  in
-  links +. shared flow.access +. shared flow.dest_net
+  let shared = function Some e -> delay e | None -> 0. in
+  let total = links +. shared flow.access +. shared flow.dest_net in
+  Netsim_obs.Metrics.add c_congestion_samples !samples;
+  Netsim_obs.Metrics.add c_congestion_episodes !episodes;
+  total
 
 let c_samples = Netsim_obs.Metrics.counter "latency.rtt.samples"
 let h_rtt = Netsim_obs.Metrics.histogram "latency.rtt.ms"

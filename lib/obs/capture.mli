@@ -1,10 +1,12 @@
 (** One observability capture per pool task.
 
-    [run f] runs [f] with the metrics registry, the span tree and the
-    flight recorder ({!Metrics.capture}, {!Span.capture},
-    {!Recorder.capture}) redirected to fresh domain-local buffers, each
-    only while its switch is on; {!absorb} merges them into the current
-    domain's registry, tree and ring, or into an enclosing capture.
+    [run f] runs [f] with a fresh metrics registry, span tree and
+    flight-recorder buffer ({!Metrics.capture}, {!Span.capture},
+    {!Recorder.capture}) in the current domain, each only while its
+    switch is on; {!absorb} merges them into the current domain's
+    registry, tree and ring, or into an enclosing capture: counter
+    sums and histogram buckets add, histogram summaries merge, span
+    nodes add, events append.
     {!Netsim_par.Pool.map} runs every task under [run] and absorbs in
     submission order, so metrics, spans and event logs are
     byte-identical for any domain count. *)

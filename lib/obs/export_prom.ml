@@ -1,6 +1,6 @@
 (* Prometheus text-exposition (v0.0.4) rendering of the metrics
-   registry.  Counters become <name>_total counters, gauges and
-   runtime samples become gauges, histograms become the cumulative
+   registry.  Counters become <name>_total counters, runtime samples
+   become gauges, histograms become the cumulative
    _bucket/_sum/_count triple.  Metric names are sanitized to
    [a-zA-Z0-9_:] and prefixed "netsim_" so scrapes from several tools
    never collide. *)
@@ -42,12 +42,6 @@ let to_string () =
       help_line buf pname "counter" (Printf.sprintf "Counter %s." name);
       Buffer.add_string buf (Printf.sprintf "%s %d\n" pname v))
     (Metrics.counter_rows ());
-  List.iter
-    (fun (name, v) ->
-      let pname = sanitize name in
-      help_line buf pname "gauge" (Printf.sprintf "Gauge %s." name);
-      Buffer.add_string buf (Printf.sprintf "%s %s\n" pname (num v)))
-    (Metrics.gauge_rows ());
   List.iter
     (fun (name, v) ->
       let pname = sanitize name in

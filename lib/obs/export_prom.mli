@@ -1,7 +1,7 @@
 (** Prometheus text-exposition (v0.0.4) export of the metrics
     registry: HELP/TYPE lines for every metric, [_total]-suffixed
-    counters, gauges (including runtime samples from
-    {!Metrics.runtime_rows}), and cumulative
+    counters, runtime samples ({!Metrics.runtime_rows}) as gauges,
+    and cumulative
     [_bucket]/[_sum]/[_count] histogram triples.  Names are sanitized
     to [[a-zA-Z0-9_:]] and prefixed ["netsim_"]. *)
 

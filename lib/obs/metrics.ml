@@ -14,104 +14,33 @@ let on =
 let set_enabled b = on := b
 let enabled () = !on
 
-(* ---- domain-local capture buffers ------------------------------------ *)
+(* ---- names ------------------------------------------------------------ *)
 
-(* The registry below is owned by the main domain.  Worker domains (the
-   Netsim_par pool) must not touch it concurrently, so every record
-   site first consults a domain-local slot: [None] (the default in
-   every domain) means "write straight into the global registry";
-   [Some buf] means "record into this buffer".  [capture] installs a
-   fresh buffer around a task and [absorb] merges it into the registry.
-   Counters commute, so a buffer keeps one running sum per name;
-   gauge writes and histogram observations do not (last write wins; a
-   histogram's float sum depends on the order of its samples), so they
-   stay an ordered event log that [absorb] replays.  Absorbing the
-   per-task buffers in submission order therefore leaves the registry
-   byte-identical regardless of domain count. *)
+(* Every metric name gets a dense id the first time any domain asks for
+   it, under [lock]; registration is rare (module initialisation, or a
+   new serve verb), so a record site only indexes arrays by id.
+   [by_id] is republished whole on each registration, so a reader sees
+   every name registered before it without taking the lock. *)
+type names = { ids : (string, int) Hashtbl.t; by_id : string array Atomic.t }
 
-type event = Ev_gauge of string * float | Ev_observe of string * float
+let lock = Mutex.create ()
+let counter_names = { ids = Hashtbl.create 64; by_id = Atomic.make [||] }
+let histogram_names = { ids = Hashtbl.create 16; by_id = Atomic.make [||] }
 
-type buffer = {
-  mutable events : event list;  (** newest first while recording *)
-  sums : (string, int ref) Hashtbl.t;  (** counter increments by name *)
-}
-
-let buffer_key : buffer option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-(* ---- counters -------------------------------------------------------- *)
-
-type counter = { c_id : int; c_name : string; mutable c_value : int }
-
-let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
-let counter_list : counter list ref = ref []
-let n_counters = ref 0
-
-let counter name =
-  match Hashtbl.find_opt counters name with
-  | Some c -> c
-  | None -> (
-      match Domain.DLS.get buffer_key with
-      | Some _ ->
-          (* Inside a capture: never mutate the global table.  The
-             detached handle still records by name, and [absorb]
-             registers the name when the buffer is merged. *)
-          { c_id = -1; c_name = name; c_value = 0 }
+let intern names name =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt names.ids name with
+      | Some id -> id
       | None ->
-          let c = { c_id = !n_counters; c_name = name; c_value = 0 } in
-          incr n_counters;
-          Hashtbl.replace counters name c;
-          counter_list := c :: !counter_list;
-          c)
+          let old = Atomic.get names.by_id in
+          let id = Array.length old in
+          Hashtbl.replace names.ids name id;
+          Atomic.set names.by_id (Array.append old [| name |]);
+          id)
 
-let buffer_add buf name by =
-  match Hashtbl.find_opt buf.sums name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace buf.sums name (ref by)
+let registered names = Array.length (Atomic.get names.by_id)
 
-let add c by =
-  if !on then
-    match Domain.DLS.get buffer_key with
-    | None -> c.c_value <- c.c_value + by
-    | Some buf -> buffer_add buf c.c_name by
-
-let incr c = add c 1
-
-let counter_value c =
-  match Domain.DLS.get buffer_key with
-  | None -> c.c_value
-  | Some buf -> (
-      (* Within a capture only the task's own increments are visible. *)
-      match Hashtbl.find_opt buf.sums c.c_name with
-      | Some r -> !r
-      | None -> 0)
-
-(* ---- gauges ---------------------------------------------------------- *)
-
-type gauge = { g_name : string; mutable g_value : float }
-
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
-
-let gauge name =
-  match Hashtbl.find_opt gauges name with
-  | Some g -> g
-  | None -> (
-      match Domain.DLS.get buffer_key with
-      | Some _ -> { g_name = name; g_value = 0. }
-      | None ->
-          let g = { g_name = name; g_value = 0. } in
-          Hashtbl.replace gauges name g;
-          g)
-
-let set g v =
-  if !on then
-    match Domain.DLS.get buffer_key with
-    | None -> g.g_value <- v
-    | Some buf -> buf.events <- Ev_gauge (g.g_name, v) :: buf.events
-
-let gauge_value g = g.g_value
-
-(* ---- histograms ------------------------------------------------------ *)
+(* ---- registries ------------------------------------------------------- *)
 
 (* Log-bucketed: [buckets_per_decade] buckets per decade of value, over
    [10^lo_decade, 10^hi_decade), with underflow (index 0, values <=
@@ -125,30 +54,70 @@ let hi_decade = 7
 let n_inner = (hi_decade - lo_decade) * buckets_per_decade
 let n_buckets = n_inner + 2
 
-type histogram = {
-  h_name : string;
-  h_buckets : int array;
-  mutable h_summary : Summary.t;
-}
+type hist = { buckets : int array; mutable summary : Summary.t }
 
-let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
+(* One representation for the global registry and every capture: a sum
+   per counter id and a histogram state per histogram id.  Both arrays
+   grow on demand; [no_hist] (never written) stands for a histogram
+   nothing has observed into this registry. *)
+type registry = { mutable sums : int array; mutable hists : hist array }
 
-let histogram name =
-  match Hashtbl.find_opt histograms name with
-  | Some h -> h
-  | None -> (
-      let h =
-        {
-          h_name = name;
-          h_buckets = Array.make n_buckets 0;
-          h_summary = Summary.create ();
-        }
-      in
-      match Domain.DLS.get buffer_key with
-      | Some _ -> h
-      | None ->
-          Hashtbl.replace histograms name h;
-          h)
+let no_hist = { buckets = Array.make n_buckets 0; summary = Summary.create () }
+let fresh () = { sums = [||]; hists = [||] }
+
+(* The main domain owns [global].  A domain-local slot names the
+   registry every record site writes: [global] outside a capture, the
+   task's own registry inside one ({!Netsim_par.Pool} runs every task
+   under a capture, so workers never write [global]). *)
+let global = fresh ()
+let current : registry Domain.DLS.key = Domain.DLS.new_key (fun () -> global)
+
+let grown a ~id names fill =
+  let b = Array.make (Stdlib.max (id + 1) (registered names)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let sums r id =
+  if id >= Array.length r.sums then r.sums <- grown r.sums ~id counter_names 0;
+  r.sums
+
+let hist r id =
+  if id >= Array.length r.hists then
+    r.hists <- grown r.hists ~id histogram_names no_hist;
+  let h = r.hists.(id) in
+  if h != no_hist then h
+  else begin
+    let h = { buckets = Array.make n_buckets 0; summary = Summary.create () } in
+    r.hists.(id) <- h;
+    h
+  end
+
+let hist_value r id = if id < Array.length r.hists then r.hists.(id) else no_hist
+
+(* ---- counters --------------------------------------------------------- *)
+
+type counter = int
+
+let counter name = intern counter_names name
+
+let add c by =
+  if !on then begin
+    let s = sums (Domain.DLS.get current) c in
+    s.(c) <- s.(c) + by
+  end
+
+let incr c = add c 1
+
+let value r c = if c < Array.length r.sums then r.sums.(c) else 0
+
+(* Within a capture only the task's own increments are visible. *)
+let counter_value c = value (Domain.DLS.get current) c
+
+(* ---- histograms ------------------------------------------------------- *)
+
+type histogram = int
+
+let histogram name = intern histogram_names name
 
 let bucket_index v =
   if v <= 0. then 0
@@ -172,19 +141,16 @@ let bucket_mid i =
     ** (float_of_int lo_decade
        +. ((float_of_int (i - 1) +. 0.5) /. float_of_int buckets_per_decade))
 
-let observe_direct h v =
-  let i = bucket_index v in
-  h.h_buckets.(i) <- h.h_buckets.(i) + 1;
-  Summary.add h.h_summary v
-
 let observe h v =
-  if !on then
-    match Domain.DLS.get buffer_key with
-    | None -> observe_direct h v
-    | Some buf -> buf.events <- Ev_observe (h.h_name, v) :: buf.events
+  if !on then begin
+    let s = hist (Domain.DLS.get current) h in
+    let i = bucket_index v in
+    s.buckets.(i) <- s.buckets.(i) + 1;
+    Summary.add s.summary v
+  end
 
-let histogram_count h = Summary.count h.h_summary
-let histogram_summary h = h.h_summary
+let histogram_summary h = (hist_value (Domain.DLS.get current) h).summary
+let histogram_count h = Summary.count (histogram_summary h)
 
 (* Upper bound of bucket [i], for Prometheus-style cumulative export.
    The underflow bucket's bound is the histogram floor; the overflow
@@ -197,93 +163,74 @@ let bucket_upper i =
     ** (float_of_int lo_decade
        +. (float_of_int i /. float_of_int buckets_per_decade))
 
-let histogram_quantile h q =
+let quantile s q =
   let pairs = ref [] in
   Array.iteri
     (fun i n ->
       if n > 0 then pairs := (bucket_mid i, float_of_int n) :: !pairs)
-    h.h_buckets;
+    s.buckets;
   match !pairs with
   | [] -> nan
   | l -> Quantile.weighted_quantile (Array.of_list l) q
 
-(* ---- snapshots (for per-span counter deltas) ------------------------- *)
+let histogram_quantile h q = quantile (hist_value (Domain.DLS.get current) h) q
 
-type snapshot =
-  | Snap_global of int array  (** values indexed by [c_id] *)
-  | Snap_buffered of (string * int) list  (** sorted buffer values *)
+(* ---- snapshots (for per-span counter deltas) -------------------------- *)
 
-let buffer_values buf =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) buf.sums []
-  |> List.sort compare
+type snapshot = int array
 
-let counter_snapshot () =
-  match Domain.DLS.get buffer_key with
-  | None ->
-      let a = Array.make (Stdlib.max 1 !n_counters) 0 in
-      List.iter (fun c -> a.(c.c_id) <- c.c_value) !counter_list;
-      Snap_global a
-  | Some buf -> Snap_buffered (buffer_values buf)
+let counter_snapshot () = Array.copy (Domain.DLS.get current).sums
 
 let counter_deltas snap =
-  match (snap, Domain.DLS.get buffer_key) with
-  | Snap_global a, None ->
-      List.filter_map
-        (fun c ->
-          let base = if c.c_id < Array.length a then a.(c.c_id) else 0 in
-          let d = c.c_value - base in
-          if d = 0 then None else Some (c.c_name, d))
-        !counter_list
-      |> List.sort compare
-  | Snap_buffered base, Some buf ->
-      List.filter_map
-        (fun (name, v) ->
-          let b =
-            match List.assoc_opt name base with Some b -> b | None -> 0
-          in
-          if v = b then None else Some (name, v - b))
-        (buffer_values buf)
-  | Snap_global _, Some _ | Snap_buffered _, None ->
-      (* Snapshot crossed a capture boundary; spans never do this. *)
-      []
+  let names = Atomic.get counter_names.by_id in
+  let deltas = ref [] in
+  Array.iteri
+    (fun c v ->
+      let d = v - if c < Array.length snap then snap.(c) else 0 in
+      if d <> 0 then deltas := (names.(c), d) :: !deltas)
+    (Domain.DLS.get current).sums;
+  List.sort compare !deltas
 
-(* ---- capture / absorb ------------------------------------------------ *)
+(* ---- capture / absorb ------------------------------------------------- *)
 
-type captured = buffer  (** [events] oldest first *)
+type captured = registry
 
 let capture f =
-  let saved = Domain.DLS.get buffer_key in
-  let buf = { events = []; sums = Hashtbl.create 32 } in
-  Domain.DLS.set buffer_key (Some buf);
+  let saved = Domain.DLS.get current in
+  let r = fresh () in
+  Domain.DLS.set current r;
   match f () with
   | v ->
-      Domain.DLS.set buffer_key saved;
-      buf.events <- List.rev buf.events;
-      (v, buf)
+      Domain.DLS.set current saved;
+      (v, r)
   | exception e ->
-      Domain.DLS.set buffer_key saved;
+      Domain.DLS.set current saved;
       raise e
 
+(* Counter sums and bucket counts add; summaries merge.  Every capture
+   is absorbed at the same point of the same sequence at any domain
+   count, so the merged floats are too. *)
 let absorb cap =
-  match Domain.DLS.get buffer_key with
-  | None ->
-      Hashtbl.iter
-        (fun name r ->
-          let c = counter name in
-          c.c_value <- c.c_value + !r)
-        cap.sums;
-      List.iter
-        (function
-          | Ev_gauge (name, v) -> (gauge name).g_value <- v
-          | Ev_observe (name, v) -> observe_direct (histogram name) v)
-        cap.events
-  | Some outer ->
-      (* Absorbing inside an outer capture just re-buffers, so nested
-         fan-outs compose. *)
-      Hashtbl.iter (fun name r -> buffer_add outer name !r) cap.sums;
-      outer.events <- List.rev_append cap.events outer.events
+  let r = Domain.DLS.get current in
+  let n = Array.length cap.sums in
+  if n > 0 then begin
+    let s = sums r (n - 1) in
+    for c = 0 to n - 1 do
+      s.(c) <- s.(c) + cap.sums.(c)
+    done
+  end;
+  for id = 0 to Array.length cap.hists - 1 do
+    let h = cap.hists.(id) in
+    if h != no_hist then begin
+      let dst = hist r id in
+      for i = 0 to n_buckets - 1 do
+        dst.buckets.(i) <- dst.buckets.(i) + h.buckets.(i)
+      done;
+      dst.summary <- Summary.merge dst.summary h.summary
+    end
+  done
 
-(* ---- runtime gauges -------------------------------------------------- *)
+(* ---- runtime samples -------------------------------------------------- *)
 
 (* Process-level numbers (GC stats, pool utilization) that vary with
    wall clock and domain count.  They live in a side table that is
@@ -295,18 +242,16 @@ let absorb cap =
    meaningful to merge. *)
 
 let runtime : (string, float ref) Hashtbl.t = Hashtbl.create 32
+let outside_capture () = Domain.DLS.get current == global
 
 let set_runtime name v =
-  if !on then
-    match Domain.DLS.get buffer_key with
-    | Some _ -> ()
-    | None -> (
-        match Hashtbl.find_opt runtime name with
-        | Some r -> r := v
-        | None -> Hashtbl.replace runtime name (ref v))
+  if !on && outside_capture () then
+    match Hashtbl.find_opt runtime name with
+    | Some r -> r := v
+    | None -> Hashtbl.replace runtime name (ref v)
 
 let sample_gc () =
-  if !on && Option.is_none (Domain.DLS.get buffer_key) then begin
+  if !on && outside_capture () then begin
     let gc = Gc.quick_stat () and f = float_of_int in
     set_runtime "gc.minor_collections" (f gc.Gc.minor_collections);
     set_runtime "gc.major_collections" (f gc.Gc.major_collections);
@@ -318,15 +263,16 @@ let runtime_rows () =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) runtime []
   |> List.sort compare
 
-(* ---- report rows ----------------------------------------------------- *)
+(* ---- report rows ------------------------------------------------------ *)
 
-let counter_rows () =
-  Hashtbl.fold (fun name c acc -> (name, c.c_value) :: acc) counters []
-  |> List.sort compare
+(* Every registered name, with its value in the global registry, sorted
+   by name. *)
+let rows names value =
+  Atomic.get names.by_id |> Array.to_list
+  |> List.mapi (fun id name -> (name, value id))
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let gauge_rows () =
-  Hashtbl.fold (fun name g acc -> (name, g.g_value) :: acc) gauges []
-  |> List.sort compare
+let counter_rows () = rows counter_names (value global)
 
 type hist_row = {
   hr_name : string;
@@ -337,39 +283,28 @@ type hist_row = {
 }
 
 let histogram_rows () =
-  Hashtbl.fold
-    (fun name h acc ->
-      ( name,
-        {
-          hr_name = name;
-          hr_summary = h.h_summary;
-          hr_p50 = histogram_quantile h 0.5;
-          hr_p90 = histogram_quantile h 0.9;
-          hr_p99 = histogram_quantile h 0.99;
-        } )
-      :: acc)
-    histograms []
-  |> List.sort compare |> List.map snd
+  List.map
+    (fun (name, s) ->
+      {
+        hr_name = name;
+        hr_summary = s.summary;
+        hr_p50 = quantile s 0.5;
+        hr_p90 = quantile s 0.9;
+        hr_p99 = quantile s 0.99;
+      })
+    (rows histogram_names (hist_value global))
 
 let histogram_export () =
-  Hashtbl.fold
-    (fun name h acc ->
-      let buckets =
-        List.init n_buckets (fun i -> (bucket_upper i, h.h_buckets.(i)))
-      in
-      (name, buckets, h.h_summary) :: acc)
-    histograms []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  List.map
+    (fun (name, s) ->
+      let buckets = List.init n_buckets (fun i -> (bucket_upper i, s.buckets.(i))) in
+      (name, buckets, s.summary))
+    (rows histogram_names (hist_value global))
 
 let reset () =
   Hashtbl.reset runtime;
-  Hashtbl.iter (fun _ c -> c.c_value <- 0) counters;
-  Hashtbl.iter (fun _ g -> g.g_value <- 0.) gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      Array.fill h.h_buckets 0 n_buckets 0;
-      h.h_summary <- Summary.create ())
-    histograms
+  Array.fill global.sums 0 (Array.length global.sums) 0;
+  Array.fill global.hists 0 (Array.length global.hists) no_hist
 
 let to_json () =
   Jsonx.Obj
@@ -377,9 +312,6 @@ let to_json () =
       ( "counters",
         Jsonx.Obj
           (List.map (fun (n, v) -> (n, Jsonx.Int v)) (counter_rows ())) );
-      ( "gauges",
-        Jsonx.Obj (List.map (fun (n, v) -> (n, Jsonx.Float v)) (gauge_rows ()))
-      );
       ( "histograms",
         Jsonx.Arr
           (List.map

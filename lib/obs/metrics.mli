@@ -1,7 +1,7 @@
-(** Global metrics registry: named counters, gauges and log-bucketed
-    latency histograms.
+(** Metrics registry: named counters and log-bucketed latency
+    histograms.
 
-    All record sites ([incr], [add], [set], [observe]) check a single
+    All record sites ([incr], [add], [observe]) check a single
     [enabled] flag and are no-ops when it is off (the default), so
     instrumentation can stay in hot paths permanently.  The flag is
     seeded from the [NETSIM_TRACE] environment variable (any value
@@ -9,17 +9,21 @@
     [set_enabled] — the CLI's [--trace] / [--metrics-out] flags do
     that.
 
-    Metric objects are interned by name: [counter "x"] returns the same
-    counter everywhere, so modules declare their metrics at top level
-    and pay only the flag check per event.
+    Metric handles are interned by name: [counter "x"] returns the same
+    dense id from any domain, so modules declare their metrics at top
+    level and a record site only indexes an array.
 
-    The registry is owned by the main domain.  {!Netsim_par.Pool} runs
-    every task inside {!Capture.run}, which (through {!capture})
-    redirects every record site in that domain to a private buffer;
-    the pool then absorbs the buffers in task-submission order.  A
-    buffer holds one sum per counter name and an ordered log of gauge
-    writes and histogram observations, so the merged registry — and
-    its JSON — is byte-identical for any domain count. *)
+    One registry type holds a sum per counter and, per histogram, its
+    bucket counts and a {!Netsim_stats.Summary.t}.  The global registry
+    is owned by the main domain.  {!Netsim_par.Pool} runs every task
+    inside {!Capture.run}, which (through {!capture}) points every
+    record site in that domain at a fresh registry; the pool then
+    absorbs the task registries in submission order.  Sums and buckets
+    add and summaries merge, at the same points of the same sequence
+    for any domain count, so the merged registry — and its JSON — is
+    byte-identical for any domain count.  A histogram's [mean] and
+    [total] are merged floats, which can differ in the low bits from
+    one summary fed every sample in turn. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -34,14 +38,8 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-
-(** {1 Gauges} *)
-
-type gauge
-
-val gauge : string -> gauge
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
+(** The value in the current registry: inside a {!capture}, only the
+    capture's own increments. *)
 
 (** {1 Histograms}
 
@@ -55,6 +53,9 @@ type histogram
 val histogram : string -> histogram
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
+(** [histogram_count], [histogram_summary] and [histogram_quantile]
+    read the current registry, like {!counter_value}. *)
+
 val histogram_summary : histogram -> Netsim_stats.Summary.t
 val histogram_quantile : histogram -> float -> float
 (** [nan] when the histogram is empty. *)
@@ -65,35 +66,35 @@ type snapshot
 
 val counter_snapshot : unit -> snapshot
 val counter_deltas : snapshot -> (string * int) list
-(** Counters that changed since the snapshot, sorted by name.  Inside
-    a {!capture}, both operate on the capture buffer, so span counter
-    deltas keep working in pool workers. *)
+(** Counters that changed since the snapshot, sorted by name.  Both
+    read the current registry, so span counter deltas work the same
+    inside a {!capture}. *)
 
-(** {1 Capture} — domain-local buffering for the parallel pool; the
-    metrics half of {!Capture}. *)
+(** {1 Capture} — a registry per pool task; the metrics half of
+    {!Capture}. *)
 
 type captured
-(** One sum per counter name, plus gauge writes and histogram
-    observations in the order they happened. *)
+(** A registry of its own: counter sums and histogram states. *)
 
 val capture : (unit -> 'a) -> 'a * captured
 (** [capture f] runs [f] with every record site in the current domain
-    redirected to a fresh buffer and returns the buffer alongside
-    [f]'s result.  The global registry is untouched.  On exception the
-    buffer is discarded and the exception re-raised.  Captures nest
-    (the inner buffer simply shadows the outer for the duration). *)
+    writing a fresh registry and returns it alongside [f]'s result.
+    The enclosing registry is untouched.  On exception the registry is
+    discarded and the exception re-raised.  Captures nest. *)
 
 val absorb : captured -> unit
-(** Merge a buffer into the registry (or the enclosing capture): sums
-    add, unseen names register, gauge writes and observations replay
-    in order.  Absorbing per-task buffers in submission order leaves
-    every value as a sequential run would (counters may register in
-    another order; every reader sorts by name). *)
+(** Merge a captured registry into the current one (the global
+    registry, or an enclosing capture): counter sums and bucket counts
+    add, and summaries merge with {!Netsim_stats.Summary.merge}.
+    Absorbing per-task registries in submission order leaves every
+    counter, bucket, count, min and max as a sequential run would. *)
 
 (** {1 Reporting} *)
 
 val counter_rows : unit -> (string * int) list
-val gauge_rows : unit -> (string * float) list
+(** Every registered counter with its global value, sorted by name;
+    the histogram readers below likewise list every registered
+    histogram, observed or not. *)
 
 type hist_row = {
   hr_name : string;
@@ -110,7 +111,7 @@ val histogram_export : unit -> (string * (float * int) list * Netsim_stats.Summa
     bound, count) per bucket, summary)], sorted by name.  The last
     bucket's bound is [infinity]. *)
 
-(** {1 Runtime gauges}
+(** {1 Runtime samples}
 
     Process-level samples (GC stats, pool utilization) that depend on
     wall clock and domain count.  Kept out of {!to_json} so the merged
@@ -122,13 +123,13 @@ val set_runtime : string -> float -> unit
     write runtime samples). *)
 
 val sample_gc : unit -> unit
-(** Sample [Gc.quick_stat] into the four [gc.*] runtime gauges; same
+(** Sample [Gc.quick_stat] into the four [gc.*] runtime samples; same
     no-op rule as {!set_runtime}. *)
 
 val runtime_rows : unit -> (string * float) list
 
 val reset : unit -> unit
-(** Zero every registered metric (objects stay registered); drop all
-    runtime gauges. *)
+(** Zero the global registry (names stay registered); drop all
+    runtime samples. *)
 
 val to_json : unit -> Jsonx.t

@@ -5,7 +5,6 @@ let pf = Summary.pretty_float
 let metrics_table () =
   let buf = Buffer.create 2048 in
   let counters = Metrics.counter_rows () in
-  let gauges = Metrics.gauge_rows () in
   let hists = Metrics.histogram_rows () in
   if counters <> [] then begin
     Buffer.add_string buf "counters:\n";
@@ -13,13 +12,6 @@ let metrics_table () =
       (fun (n, v) ->
         Buffer.add_string buf (Printf.sprintf "  %-42s %12d\n" n v))
       counters
-  end;
-  if gauges <> [] then begin
-    Buffer.add_string buf "gauges:\n";
-    List.iter
-      (fun (n, v) ->
-        Buffer.add_string buf (Printf.sprintf "  %-42s %12s\n" n (pf v)))
-      gauges
   end;
   if hists <> [] then begin
     Buffer.add_string buf "histograms:\n";

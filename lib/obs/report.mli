@@ -2,8 +2,8 @@
     {!Span}. *)
 
 val metrics_table : unit -> string
-(** Counters, gauges and histogram summaries (one line each, built on
-    {!Netsim_stats.Summary.one_line}). *)
+(** Counters, histogram summaries (one line each, built on
+    {!Netsim_stats.Summary.one_line}) and runtime samples. *)
 
 val render : unit -> string
 (** Trace tree followed by the metrics table. *)

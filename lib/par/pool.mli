@@ -11,8 +11,8 @@
     Every task runs the same way, at any domain count and nested or
     not: inside one {!Netsim_obs.Capture.run} and against a fresh
     {!Netsim_bgp.Rib_cache} shard, both absorbed in submission order
-    after the join (counters sum, gauges keep the last write,
-    observations and recorder events replay in order, span subtrees
+    after the join (counter sums and histogram buckets add, histogram
+    summaries merge, recorder events append in order, span subtrees
     re-parent under the span open at the fan-out point).  So metrics
     JSON, span shapes and event logs are byte-identical for any domain
     count; only span wall-clock times vary, as they do serially.

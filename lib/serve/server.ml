@@ -834,6 +834,27 @@ let ingest t (s : session) line =
             w_run = (fun () -> exec_mutation t req);
           }
 
+(* Each verb's request counter and latency histogram, registered when
+   the verb is first metered (registering every verb up front would put
+   zero rows in every metrics document).  A read runs in a pool task, so
+   the cache is an atomic list: a hit compares a few short strings and
+   neither allocates nor takes the registration lock. *)
+let verb_handles : (string * (Metrics.counter * Metrics.histogram)) list Atomic.t
+    =
+  Atomic.make []
+
+let rec verb_metrics verb =
+  let seen = Atomic.get verb_handles in
+  match List.assoc_opt verb seen with
+  | Some m -> m
+  | None ->
+      let m =
+        ( Metrics.counter ("serve.query." ^ verb),
+          Metrics.histogram ("serve." ^ verb ^ ".us") )
+      in
+      if Atomic.compare_and_set verb_handles seen ((verb, m) :: seen) then m
+      else verb_metrics verb
+
 (* Execute a planned work item, then meter, record and frame.  Returns
    the framed response and the wall-clock microseconds. *)
 let run_work t (w : work) =
@@ -845,8 +866,9 @@ let run_work t (w : work) =
   in
   let us = (Unix.gettimeofday () -. t0) *. 1e6 in
   if w.w_timed && Metrics.enabled () then begin
-    Metrics.incr (Metrics.counter ("serve.query." ^ w.w_verb));
-    Metrics.observe (Metrics.histogram ("serve." ^ w.w_verb ^ ".us")) us
+    let c, h = verb_metrics w.w_verb in
+    Metrics.incr c;
+    Metrics.observe h us
   end;
   match result with
   | Ok body ->

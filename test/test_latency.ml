@@ -302,17 +302,18 @@ let test_shared_access_fate () =
 let reference_sample c ~rng ~time_min (flow : Rtt.flow) =
   let params = Congestion.params c in
   let base = Rtt.floor_ms params (Congestion.topology c) c flow in
+  let episodes = ref 0 in
   let links =
     List.fold_left
       (fun acc (h : Walk.hop) ->
         acc
         +. Congestion.entity_delay_ms c
              (Congestion.Link h.Walk.link.Relation.id)
-             ~time_min)
+             ~time_min ~episodes)
       0. flow.Rtt.walk.Walk.hops
   in
   let shared = function
-    | Some e -> Congestion.entity_delay_ms c e ~time_min
+    | Some e -> Congestion.entity_delay_ms c e ~time_min ~episodes
     | None -> 0.
   in
   let congested = links +. shared flow.Rtt.access +. shared flow.Rtt.dest_net in

@@ -1,5 +1,5 @@
-(* Tests for the observability substrate (Netsim_obs): counter /
-   gauge / histogram arithmetic, span nesting and exclusive-time
+(* Tests for the observability substrate (Netsim_obs): counter and
+   histogram arithmetic, span nesting and exclusive-time
    accounting, JSON emitter validity (round-trip checked with a tiny
    parser below), and a determinism proof that instrumentation does
    not perturb figure output. *)
@@ -25,7 +25,7 @@ let with_clean ?(enabled = true) f () =
       Report.reset ())
     f
 
-(* ---- counters / gauges ---- *)
+(* ---- counters ---- *)
 
 let test_counter_disabled () =
   let c = Metrics.counter "t.disabled" in
@@ -43,13 +43,6 @@ let test_counter_enabled () =
     (Metrics.counter_value (Metrics.counter "t.enabled") = 10);
   Metrics.reset ();
   Alcotest.(check int) "reset zeroes" 0 (Metrics.counter_value c)
-
-let test_gauge () =
-  let g = Metrics.gauge "t.gauge" in
-  Metrics.set g 3.5;
-  checkf "set" 3.5 (Metrics.gauge_value g);
-  Metrics.set g 1.25;
-  checkf "overwrite" 1.25 (Metrics.gauge_value g)
 
 (* ---- histograms ---- *)
 
@@ -302,7 +295,6 @@ let test_write_text_roundtrip () =
    and the +Inf bucket equals _count. *)
 let test_prom_format_valid () =
   Metrics.add (Metrics.counter "t.prom.count") 7;
-  Metrics.set (Metrics.gauge "t.prom.gauge") 2.5;
   let h = Metrics.histogram "t.prom.hist" in
   List.iter (Metrics.observe h) [ 0.5; 1.; 10.; 100.; 1e9 ];
   let text = Export_prom.to_string () in
@@ -588,7 +580,6 @@ let suite =
     Alcotest.test_case "counter disabled"
       `Quick (with_clean ~enabled:false test_counter_disabled);
     Alcotest.test_case "counter enabled" `Quick (with_clean test_counter_enabled);
-    Alcotest.test_case "gauge" `Quick (with_clean test_gauge);
     Alcotest.test_case "histogram summary exact" `Quick
       (with_clean test_histogram_summary_exact);
     Alcotest.test_case "histogram quantile bucketed" `Quick

@@ -166,7 +166,6 @@ let traced_run d =
                          Metrics.observe
                            (Metrics.histogram "t.par.obs")
                            (float_of_int (i * 7) +. 0.5);
-                         Metrics.set (Metrics.gauge "t.par.last") (float_of_int i);
                          let topo = random_topo 3 in
                          ignore (Propagate.run topo (Announce.default ~origin:o));
                          i))
@@ -182,22 +181,6 @@ let test_metrics_byte_identical () =
   let j4, s4 = traced_run 4 in
   Alcotest.(check string) "metrics JSON byte-identical (1 vs 4 domains)" j1 j4;
   Alcotest.(check string) "span tree identical (1 vs 4 domains)" s1 s4
-
-let test_gauge_last_write_submission_order () =
-  with_domains 4 @@ fun () ->
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ())
-    (fun () ->
-      ignore
-        (Pool.map
-           (fun i -> Metrics.set (Metrics.gauge "t.par.g") (float_of_int i))
-           (Array.init 32 (fun i -> i)));
-      Alcotest.(check (float 0.))
-        "gauge holds the last task's write (submission order)" 31.
-        (Metrics.gauge_value (Metrics.gauge "t.par.g")))
 
 (* Every span of an [all]-style run closes inside a pool task, where
    no GC sample is taken; the fan-in must still leave the gc.* runtime
@@ -316,6 +299,110 @@ let test_nested_map_obs_domain_invariant () =
   Alcotest.(check string) "nested span shape identical (1 vs 4)" s1 s4;
   Alcotest.(check string) "nested event log byte-identical (1 vs 4)" e1 e4
 
+(* ---- merged metrics equal a direct run ---- *)
+
+(* A random program of counter adds and histogram observations, cut
+   into (possibly nested) pool tasks.  Run through the pool, it must
+   leave what running every step in turn leaves: the same counters,
+   buckets, counts, extremes and quantiles, and the same mean and total
+   up to the rounding of a summary merge. *)
+
+type step = Add of int * int | Observe of int * float | Map of step list list
+
+let prop_counters =
+  Array.init 3 (fun i -> Metrics.counter (Printf.sprintf "t.par.prop.c%d" i))
+
+let prop_hists =
+  Array.init 3 (fun i -> Metrics.histogram (Printf.sprintf "t.par.prop.h%d" i))
+
+let rec exec ~pooled steps =
+  List.iter
+    (function
+      | Add (c, n) -> Metrics.add prop_counters.(c) n
+      | Observe (h, v) -> Metrics.observe prop_hists.(h) v
+      | Map tasks ->
+          if pooled then ignore (Pool.map (exec ~pooled) (Array.of_list tasks))
+          else List.iter (exec ~pooled) tasks)
+    steps
+
+(* Cut [steps] into consecutive runs of 1-4; each run stays inline or,
+   while [depth] allows, becomes one [Map] whose tasks are cut again. *)
+let rec split rs depth steps =
+  let rec runs = function
+    | [] -> []
+    | l ->
+        let k = 1 + Random.State.int rs (Stdlib.min 4 (List.length l)) in
+        List.filteri (fun i _ -> i < k) l :: runs (List.filteri (fun i _ -> i >= k) l)
+  in
+  List.concat_map
+    (fun run ->
+      if depth > 0 && Random.State.bool rs then
+        [ Map (List.map (split rs (depth - 1)) (runs run)) ]
+      else run)
+    (runs steps)
+
+let program_gen =
+  let open QCheck.Gen in
+  let step =
+    oneof
+      [
+        map2 (fun c n -> Add (c, n)) (int_bound 2) (int_range (-5) 50);
+        map2
+          (fun h e -> Observe (h, 10. ** e))
+          (int_bound 2) (float_range (-4.) 8.);
+      ]
+  in
+  map2 (fun steps seed -> split (Random.State.make [| seed |]) 3 steps)
+    (list_size (int_range 1 60) step)
+    int
+
+let merged ~pooled d prog =
+  with_domains d (fun () ->
+      Metrics.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.set_enabled false;
+          Metrics.reset ())
+        (fun () ->
+          Metrics.reset ();
+          exec ~pooled prog;
+          let mine n = String.starts_with ~prefix:"t.par.prop." n in
+          ( List.filter (fun (n, _) -> mine n) (Metrics.counter_rows ()),
+            List.filter (fun (n, _, _) -> mine n) (Metrics.histogram_export ()),
+            List.filter_map
+              (fun r ->
+                if mine r.Metrics.hr_name then
+                  Some Metrics.(r.hr_p50, r.hr_p90, r.hr_p99)
+                else None)
+              (Metrics.histogram_rows ()),
+            Jsonx.to_string (Metrics.to_json ()) )))
+
+let close a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
+
+let prop_merged_equals_direct =
+  QCheck.Test.make ~name:"merged metrics equal a direct run (domains 1, 4)"
+    ~count:100 (QCheck.make program_gen) (fun prog ->
+      let module S = Netsim_stats.Summary in
+      let c0, h0, q0, _ = merged ~pooled:false 1 prog in
+      let same (c, h, q, _) =
+        c = c0
+        && compare q q0 = 0 (* an empty histogram's quantiles are nan *)
+        && List.for_all2
+             (fun (n0, b0, s0) (n, b, s) ->
+               n = n0 && b = b0
+               && S.count s = S.count s0
+               && S.min s = S.min s0
+               && S.max s = S.max s0
+               && close (S.mean s) (S.mean s0)
+               && close (S.total s) (S.total s0))
+             h0 h
+      in
+      let ((_, _, _, j1) as r1) = merged ~pooled:true 1 prog in
+      let ((_, _, _, j4) as r4) = merged ~pooled:true 4 prog in
+      same r1 && same r4 && j1 = j4)
+
 (* ---- traced scenario: end-to-end through the egress shard ---- *)
 
 let test_scenario_trace_domain_invariant () =
@@ -345,6 +432,7 @@ let suite =
       prop_map_matches_array_map;
       prop_nested_map_sequentializes;
       prop_parallel_propagation_identical;
+      prop_merged_equals_direct;
     ]
   @ [
       Alcotest.test_case "exceptions propagate (lowest index)" `Quick
@@ -357,8 +445,6 @@ let suite =
         test_robustness_domain_invariant;
       Alcotest.test_case "merged metrics byte-identical" `Quick
         test_metrics_byte_identical;
-      Alcotest.test_case "gauge last-write follows submission order" `Quick
-        test_gauge_last_write_submission_order;
       Alcotest.test_case "pooled spans leave gc gauges" `Quick
         test_pooled_spans_sample_gc;
       Alcotest.test_case "failing task obs domain-invariant" `Quick

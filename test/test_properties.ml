@@ -243,6 +243,7 @@ let prop_congestion_delay_nonnegative =
         if
           Netsim_latency.Congestion.entity_delay_ms cong
             (Netsim_latency.Congestion.Link link_id) ~time_min
+            ~episodes:(ref 0)
           < 0.
         then ok := false
       done;
