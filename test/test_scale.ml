@@ -439,6 +439,59 @@ let test_small_scale_topology () =
             (Propagate.equal st (Propagate.run topo configs.(i))))
         states
 
+(* Every generated world is pinned by an MD5 of a canonical rendering
+   of its AS and link arrays (every field, floats exact as [%h]), so a
+   generator rewrite that moves one RNG draw, reorders one link or
+   changes one name fails here.  The digests were computed before the
+   generator's set-based helpers were replaced. *)
+let world_digest topo =
+  let b = Buffer.create (1 lsl 16) in
+  Array.iter
+    (fun (a : Asn.t) ->
+      Printf.bprintf b "as %d %s %S" a.Asn.id (Asn.klass_to_string a.Asn.klass)
+        a.Asn.name;
+      Array.iter (Printf.bprintf b " %d") a.Asn.footprint;
+      Buffer.add_char b '\n')
+    (Topology.ases topo);
+  Array.iter
+    (fun (l : Relation.link) ->
+      Printf.bprintf b "link %d %d %d %s %d %h\n" l.Relation.id l.Relation.a
+        l.Relation.b
+        (Relation.kind_to_string l.Relation.kind)
+        l.Relation.metro l.Relation.capacity_gbps)
+    (Topology.links topo);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_world_digests () =
+  let scale name p expected =
+    match Generator.generate_scale p with
+    | Error e -> Alcotest.failf "%s: %s" name e
+    | Ok topo -> Alcotest.(check string) name expected (world_digest topo)
+  in
+  scale "generate_scale small_scale_params" Generator.small_scale_params
+    "405979d53d9e36ff413c62314ca0227d";
+  scale "generate_scale 300/1500/6000 at seed 7"
+    {
+      Generator.scale_params with
+      Generator.sc_seed = 7;
+      sc_transit = 300;
+      sc_eyeball = 1500;
+      sc_stub = 6000;
+    }
+    "4024badf01ded35eb4cf8445cd708873";
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "generate default_params at seed %d" seed)
+        expected
+        (world_digest
+           (Generator.generate { Generator.default_params with seed })))
+    [
+      (42, "84d95af429a239755acec94d680ed8ed");
+      (7, "485325f13190aa9387123019c36f1175");
+      (43, "1c6a2aa5e0fb242bceed740b67ba635f");
+    ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -458,6 +511,8 @@ let suite =
       Alcotest.test_case "small scale topology: invariants, CSR, fan-out"
         `Quick
         test_small_scale_topology;
+      Alcotest.test_case "generated worlds keep their pinned digests" `Quick
+        test_world_digests;
       Alcotest.test_case "scale sweep states equal the Set-based reference"
         `Quick test_sweep_matches_oracle;
       Alcotest.test_case "scale sweep leaves the RIB cache empty" `Quick
