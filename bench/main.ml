@@ -210,8 +210,12 @@ let micro_tests =
 
 let run_benchmarks () =
   let instances = Instance.[ monotonic_clock ] in
+  (* The 2 s quota, not the sample limit, ends every sub-millisecond
+     row: at 50 samples Bechamel ran 1..50 iterations per sample, too
+     few for a sub-microsecond row to resolve a 100 ns change. *)
   let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 2.) ~kde:None ~stabilize:false ()
+    Benchmark.cfg ~limit:1000 ~quota:(Time.second 2.) ~kde:None
+      ~stabilize:false ()
   in
   let all_tests =
     Test.make_grouped ~name:"beatbgp" (figure_tests @ micro_tests)

@@ -3,7 +3,9 @@
      dune exec bench/micro_scale.exe -- [--out FILE] [--history FILE]
        [--gate] [--gate-trend] [--origins N] [sweeps]
 
-   Generates the ~75k-AS scale topology and times the scale sweep's
+   Times [Generator.generate_scale] at [Scale_sweep.default_params]'s
+   scale (median of [sweeps] calls after one warm-up, and the minor
+   words one call allocates on its domain), then the scale sweep's
    fan-out, [Scale_sweep.map] over [Scale_sweep.default_params] (one
    [Propagate.run] per stub origin, 16 origins per pool task, at the
    [NETSIM_DOMAINS] pool size).  One untimed differential pass comes
@@ -20,9 +22,10 @@
    --gate enforces the scale bounds: >= 50k ASes and >= 64 origins,
    on top of the differential pass every run does; exits non-zero
    otherwise (used by the CI bench smoke).
-   --gate-trend fails when a tracked metric (sweep time, throughput,
-   peak RSS) regresses > 15% against the median of the last 5 history
-   records of the same variant. *)
+   --gate-trend fails when a tracked metric (generation time and minor
+   words, sweep time, throughput, peak RSS) regresses > 15% against the
+   median of the last 5 history records of the same variant; a metric
+   with fewer than 3 records is skipped. *)
 
 module Topology = Netsim_topo.Topology
 module Generator = Netsim_topo.Generator
@@ -91,13 +94,19 @@ let () =
   let p =
     { Scale_sweep.default_params with Scale_sweep.sp_origins = !origins_n }
   in
-  let topo =
+  let generate () =
     match Generator.generate_scale p.Scale_sweep.sp_scale with
     | Ok t -> t
     | Error e ->
         Printf.printf "FAIL: generate_scale: %s\n" e;
         exit 1
   in
+  let topo, generate_minor_words =
+    let w0 = Gc.minor_words () in
+    let t = generate () in
+    (t, Gc.minor_words () -. w0)
+  in
+  let generate_s = median_s (fun () -> ignore (generate ())) sweeps in
   let n = Topology.as_count topo in
   (* Correctness before speed: every state must be entry-for-entry
      equal to a second run of its config. *)
@@ -123,8 +132,10 @@ let () =
   let rss_kb = peak_rss_kb () in
   Printf.printf
     "scale: %d ASes  %d links  %d origins  %d domains  median of %d sweeps\n\
+     generate %.3f s  %.0f minor words\n\
      sweep %.3f s  throughput %.0f AS-states/s  peak RSS %d kB\n"
-    n (Topology.link_count topo) k domains sweeps sweep_s ases_per_sec rss_kb;
+    n (Topology.link_count topo) k domains sweeps generate_s
+    generate_minor_words sweep_s ases_per_sec rss_kb;
   Bench_support.Bench_out.write ~out ~bench:"scale"
     [
       ("sweeps", Jsonx.Int sweeps);
@@ -132,6 +143,8 @@ let () =
       ("link_count", Jsonx.Int (Topology.link_count topo));
       ("origins", Jsonx.Int k);
       ("domains", Jsonx.Int domains);
+      ("generate_s", Jsonx.Float generate_s);
+      ("generate_minor_words", Jsonx.Float generate_minor_words);
       ("sweep_s", Jsonx.Float sweep_s);
       ("ases_per_sec", Jsonx.Float ases_per_sec);
       ("peak_rss_kb", Jsonx.Int rss_kb);
@@ -140,6 +153,8 @@ let () =
   let metrics =
     Bench_support.Trend.
       [
+        metric "generate_s" generate_s;
+        metric "generate_minor_words" generate_minor_words;
         metric "sweep_s" sweep_s;
         metric ~lower_better:false "ases_per_sec" ases_per_sec;
         metric "peak_rss_kb" (float_of_int rss_kb);

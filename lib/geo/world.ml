@@ -257,18 +257,33 @@ let find name =
 let find_exn name =
   match find name with Some c -> c | None -> raise Not_found
 
-let by_continent continent =
-  Array.to_list cities
-  |> List.filter (fun (c : City.t) -> c.continent = continent)
+let continent_table =
+  List.map
+    (fun continent ->
+      ( continent,
+        Array.to_list cities
+        |> List.filter (fun (c : City.t) -> c.continent = continent) ))
+    Region.all_continents
 
-let by_country country =
-  Array.to_list cities
-  |> List.filter (fun (c : City.t) -> c.country = country)
+let by_continent continent = List.assoc continent continent_table
 
 let countries =
   let module S = Set.Make (String) in
   Array.fold_left (fun s (c : City.t) -> S.add c.country s) S.empty cities
   |> S.elements
+
+(* Built once and only read afterwards, so domains share it safely. *)
+let country_table =
+  let t = Hashtbl.create (List.length countries) in
+  for i = Array.length cities - 1 downto 0 do
+    let c = cities.(i) in
+    Hashtbl.replace t c.country
+      (c :: Option.value (Hashtbl.find_opt t c.country) ~default:[])
+  done;
+  t
+
+let by_country country =
+  Option.value (Hashtbl.find_opt country_table country) ~default:[]
 
 let nearest coord =
   let best = ref cities.(0) and best_d = ref infinity in
@@ -304,3 +319,5 @@ let interconnection_hubs =
 let hub_score (c : City.t) =
   if List.mem c.name interconnection_hubs then c.population_m *. 12.
   else c.population_m
+
+let hub_scores = Array.map hub_score cities

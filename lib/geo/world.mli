@@ -18,8 +18,11 @@ val find_exn : string -> City.t
 (** @raise Not_found if the metro is unknown. *)
 
 val by_continent : Region.continent -> City.t list
+(** The continent's metros in {!cities} order (a table built once). *)
 
 val by_country : string -> City.t list
+(** The country's metros in {!cities} order (a table built once); [[]]
+    for an unknown code. *)
 
 val countries : string list
 (** Distinct country codes, sorted. *)
@@ -38,3 +41,6 @@ val hub_score : City.t -> float
     Ashburn, …).  Peering density follows these facilities, not raw
     population — Moscow is Europe's biggest metro but not its peering
     hub. *)
+
+val hub_scores : float array
+(** [hub_score] of every metro, aligned with {!cities}. *)

@@ -27,8 +27,9 @@ let select topo ~rng ~n =
       hosts
     |> Array.of_list
   in
-  let weights =
-    Array.map (fun (_, city) -> World.cities.(city).City.population_m) pairs
+  let sample =
+    Dist.categorical
+      (Array.map (fun (_, city) -> World.cities.(city).City.population_m) pairs)
   in
   let module S = Set.Make (struct
     type t = int * int
@@ -41,7 +42,7 @@ let select topo ~rng ~n =
   let max_attempts = 20 * n in
   while List.length !result < n && !attempts < max_attempts do
     incr attempts;
-    let i = Dist.categorical weights rng in
+    let i = sample rng in
     let ((asid, city) as pair) = pairs.(i) in
     if not (S.mem pair !chosen) then begin
       chosen := S.add pair !chosen;

@@ -76,18 +76,29 @@ let bisect cumulative u =
 let zipf_sample z rng = bisect z.cumulative (Splitmix.next_float rng)
 let zipf_weight z i = z.weights.(i)
 
-let categorical weights rng =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then invalid_arg "Dist.categorical: weights must sum > 0";
-  let u = Splitmix.next_float rng *. total in
+let categorical weights =
+  (* The prefix sums are the linear scan's running [acc] values, summed
+     in the same left-to-right order, so the bisection below makes the
+     scan's comparisons and returns its index bit for bit. *)
   let n = Array.length weights in
-  let rec go i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if u < acc then i else go (i + 1) acc
-  in
-  go 0 0.
+  let cumulative = Array.make n 0. in
+  let acc = ref 0. in
+  for i = 0 to n - 1 do
+    acc := !acc +. weights.(i);
+    cumulative.(i) <- !acc
+  done;
+  let total = !acc in
+  if total <= 0. then invalid_arg "Dist.categorical: weights must sum > 0";
+  fun rng ->
+    let u = Splitmix.next_float rng *. total in
+    (* The first [i < n - 1] with [u < cumulative.(i)], else [n - 1]:
+       the scan's strict test, where [bisect] tests [>=]. *)
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if u < cumulative.(mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
 
 let shuffle rng arr =
   for i = Array.length arr - 1 downto 1 do
@@ -100,12 +111,22 @@ let shuffle rng arr =
 let sample_without_replacement rng k arr =
   let n = Array.length arr in
   let k = min k n in
-  let copy = Array.copy arr in
-  (* Partial Fisher-Yates: the first k slots end up as the sample. *)
-  for i = 0 to k - 1 do
-    let j = i + Splitmix.next_int rng (n - i) in
-    let tmp = copy.(i) in
-    copy.(i) <- copy.(j);
-    copy.(j) <- tmp
-  done;
-  Array.sub copy 0 k
+  if k < 0 then invalid_arg "Dist.sample_without_replacement: negative k";
+  (* Partial Fisher-Yates over a virtual copy of [arr]: step [i] swaps
+     slot [i] with slot [j >= i], and the sample is what slots [0..k-1]
+     end up holding.  Slots before the cursor are never read again, so
+     only the write to [j] is logged, as the index of [arr] that slot
+     [j] now holds; a slot absent from the log still holds its own. *)
+  let slot = Array.make k 0 and src = Array.make k 0 in
+  let source p len =
+    let rec newest t =
+      if t < 0 then p else if slot.(t) = p then src.(t) else newest (t - 1)
+    in
+    newest (len - 1)
+  in
+  Array.init k (fun i ->
+      let j = i + Splitmix.next_int rng (n - i) in
+      let sj = source j i in
+      slot.(i) <- j;
+      src.(i) <- source i i;
+      arr.(sj))

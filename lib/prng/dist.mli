@@ -42,11 +42,18 @@ val zipf_weight : zipf -> int -> float
 val categorical : float array -> Splitmix.t -> int
 (** [categorical weights rng] samples an index proportionally to
     [weights] (not necessarily normalized; all entries must be
-    non-negative and the sum positive). *)
+    non-negative and the sum positive).  Staged: [categorical weights]
+    builds the prefix sums once and returns a sampler that
+    binary-searches them, so hoist it out of a loop that samples the
+    same weights.  @raise Invalid_argument if the weights do not sum
+    to a positive value. *)
 
 val shuffle : Splitmix.t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
 val sample_without_replacement : Splitmix.t -> int -> 'a array -> 'a array
 (** [sample_without_replacement rng k arr] picks [k] distinct elements
-    ([k] is clamped to the array length). *)
+    ([k] is clamped to the array length): the first [k] slots of a
+    partial Fisher–Yates shuffle.  [arr] is not modified or copied; the
+    swaps are logged, so a call costs O(k{^2}) and is meant for small
+    [k].  @raise Invalid_argument if [k < 0]. *)

@@ -48,26 +48,68 @@ let small_params =
     n_stub = 40;
   }
 
-let shared_metros fa fb =
-  let module S = Set.Make (Int) in
-  let sb = Array.fold_left (fun s c -> S.add c s) S.empty fb in
-  Array.to_list fa |> List.filter (fun c -> S.mem c sb)
+(* Metro intersection scratch, owned by one [generate] or
+   [generate_scale] call (figures generate concurrently on the pool).
+   [shared_metros] stamps [fb]'s metros in [mark] and writes
+   [fa ∩ fb], in [fa] order, into the first slots of [shared]. *)
+type scratch = {
+  mark : int array;
+  mutable stamp : int;
+  shared : int array;
+}
 
-let common_metro rng fa fb =
-  match shared_metros fa fb with
-  | [] -> None
-  | l -> Some (List.nth l (Sm.next_int rng (List.length l)))
+let new_scratch () =
+  {
+    mark = Array.make World.count 0;
+    stamp = 0;
+    shared = Array.make World.count 0;
+  }
+
+let shared_metros s fa fb =
+  s.stamp <- s.stamp + 1;
+  for i = 0 to Array.length fb - 1 do
+    s.mark.(fb.(i)) <- s.stamp
+  done;
+  let n = ref 0 in
+  for i = 0 to Array.length fa - 1 do
+    if s.mark.(fa.(i)) = s.stamp then begin
+      s.shared.(!n) <- fa.(i);
+      incr n
+    end
+  done;
+  !n
+
+let common_metro rng s fa fb =
+  match shared_metros s fa fb with
+  | 0 -> None
+  | n -> Some s.shared.(Sm.next_int rng n)
 
 (* Up to [k] shared metros chosen uniformly — used for national-scale
    interconnects (eyeball <-> transit), where sessions sit wherever
    the ISP's network happens to be rather than at the global hubs.
    This heterogeneity is what creates the minority of clients whose
    transit route persistently beats the peer route (the paper's
-   "consistently better" alternates). *)
-let random_metros rng ~k fa fb =
-  match shared_metros fa fb with
-  | [] -> []
-  | l -> Dist.sample_without_replacement rng k (Array.of_list l) |> Array.to_list
+   "consistently better" alternates).  The partial Fisher–Yates runs
+   in place on the scratch, with [Dist.sample_without_replacement]'s
+   draws. *)
+let random_metros rng s ~k fa fb =
+  let n = shared_metros s fa fb in
+  let k = min k n and a = s.shared in
+  for i = 0 to k - 1 do
+    let j = i + Sm.next_int rng (n - i) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
+  List.init k (fun i -> a.(i))
+
+(* Each metro's continent as its index in [Region.all_continents],
+   which lists every continent. *)
+let continent_rank =
+  Array.map
+    (fun (c : City.t) ->
+      Option.get (List.find_index (( = ) c.continent) Region.all_continents))
+    World.cities
 
 (* Up to [k] shared metros with geographic spread: round-robin over
    continents, most populous shared metro of each continent first.
@@ -75,51 +117,39 @@ let random_metros rng ~k fa fb =
    share, which is what lets hot-potato pick a nearby exit instead of
    detouring through a remote megacity.  The rng breaks ties among
    equally-sized metros. *)
-let common_metros rng ~k fa fb =
-  match shared_metros fa fb with
-  | [] -> []
-  | l ->
-      let arr = Array.of_list l in
-      Dist.shuffle rng arr;
-      let by_pop a b =
-        compare
-          (World.hub_score World.cities.(b))
-          (World.hub_score World.cities.(a))
-      in
-      let groups =
-        List.map
-          (fun continent ->
-            List.filter
-              (fun m -> World.cities.(m).City.continent = continent)
-              (Array.to_list arr)
-            |> List.sort by_pop)
-          Region.all_continents
-        |> List.filter (fun g -> g <> [])
-      in
-      (* Round-robin: first pick of every continent, then second, ... *)
-      let rec rounds acc groups =
-        if groups = [] then List.rev acc
-        else begin
-          let heads = List.filter_map (fun g -> List.nth_opt g 0) groups in
-          let tails =
-            List.filter_map
-              (fun g -> match g with [] | [ _ ] -> None | _ :: t -> Some t)
-              groups
-          in
-          rounds (List.rev_append heads acc) tails
-        end
-      in
-      List.filteri (fun i _ -> i < k) (rounds [] groups)
+let common_metros rng s ~k fa fb =
+  let n = shared_metros s fa fb in
+  let arr = Array.sub s.shared 0 n in
+  Dist.shuffle rng arr;
+  (* Continent groups in [Region.all_continents] order, each by hub
+     score, ties in shuffled order (the sort is stable). *)
+  Array.stable_sort
+    (fun x y ->
+      match compare continent_rank.(x) continent_rank.(y) with
+      | 0 -> Float.compare World.hub_scores.(y) World.hub_scores.(x)
+      | c -> c)
+    arr;
+  (* Round-robin: first pick of every continent, then second, ... *)
+  let round = Array.make n 0 in
+  for i = 1 to n - 1 do
+    if continent_rank.(arr.(i)) = continent_rank.(arr.(i - 1)) then
+      round.(i) <- round.(i - 1) + 1
+  done;
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun x y -> compare round.(x) round.(y)) order;
+  List.init (min k n) (fun i -> arr.(order.(i)))
 
-(* Mutable builder: ASes and link specs are accumulated, then frozen
-   into a Topology.t. *)
+(* Mutable builder: ASes and links are accumulated, then frozen into a
+   Topology.t.  Each link record is built with its final dense id, so
+   [Topology.make] keeps it as is. *)
 type builder = {
   mutable ases_rev : Asn.t list;
   mutable n : int;
-  mutable links_rev : (int * int * Relation.kind * int * float) list;
+  mutable links_rev : Relation.link list;
+  mutable n_links : int;
 }
 
-let new_builder () = { ases_rev = []; n = 0; links_rev = [] }
+let new_builder () = { ases_rev = []; n = 0; links_rev = []; n_links = 0 }
 
 let push_as b ~klass ~name ~footprint =
   let id = b.n in
@@ -127,11 +157,14 @@ let push_as b ~klass ~name ~footprint =
   b.n <- b.n + 1;
   id
 
-let push_link b a bb kind metro capacity =
-  b.links_rev <- (a, bb, kind, metro, capacity) :: b.links_rev
+let push_link b a bb kind metro capacity_gbps =
+  b.links_rev <-
+    { Relation.id = b.n_links; a; b = bb; kind; metro; capacity_gbps }
+    :: b.links_rev;
+  b.n_links <- b.n_links + 1
 
-let city_ids_of_continent continent =
-  World.by_continent continent |> List.map (fun (c : City.t) -> c.id)
+let city_ids cities =
+  Array.of_list (List.map (fun (c : City.t) -> c.id) cities)
 
 let sample_ints rng k l =
   Dist.sample_without_replacement rng k (Array.of_list l) |> Array.to_list
@@ -160,23 +193,20 @@ let tier1_footprint rng =
   Array.of_list (home :: List.filter (fun c -> c <> home) ids)
 
 let transit_footprint rng continent =
-  let ids = city_ids_of_continent continent in
-  let k = max 2 (List.length ids * (40 + Sm.next_int rng 40) / 100) in
-  let chosen = sample_ints rng k ids in
-  match chosen with
-  | [] -> assert false (* every continent has >= 2 metros *)
-  | home :: rest -> Array.of_list (home :: rest)
+  let ids = city_ids (World.by_continent continent) in
+  let k = max 2 (Array.length ids * (40 + Sm.next_int rng 40) / 100) in
+  (* Every continent has >= 2 metros, so the footprint is non-empty;
+     its first metro is the home. *)
+  Dist.sample_without_replacement rng k ids
 
 let eyeball_footprint rng country =
-  let ids = World.by_country country |> List.map (fun (c : City.t) -> c.id) in
-  let k = max 1 (List.length ids - Sm.next_int rng 2) in
-  match sample_ints rng k ids with
-  | [] -> (match ids with [] -> assert false | h :: _ -> [| h |])
-  | home :: rest -> Array.of_list (home :: rest)
+  let ids = city_ids (World.by_country country) in
+  let k = max 1 (Array.length ids - Sm.next_int rng 2) in
+  Dist.sample_without_replacement rng k ids
 
 (* Generation --------------------------------------------------------- *)
 
-let dedupe_links specs =
+let dedupe_links links =
   (* Collapse accidental duplicate (a, b, kind, metro) tuples produced
      by independent random draws; keep the first capacity. *)
   let module S = Set.Make (struct
@@ -185,15 +215,15 @@ let dedupe_links specs =
     let compare = compare
   end) in
   let seen = ref S.empty in
-  List.filter_map
-    (fun (a, b, kind, metro, cap) ->
+  List.filter
+    (fun { Relation.a; b; kind; metro; _ } ->
       let key = if a < b then (a, b, kind, metro) else (b, a, kind, metro) in
-      if S.mem key !seen then None
+      if S.mem key !seen then false
       else begin
         seen := S.add key !seen;
-        Some { Relation.id = 0; a; b; kind; metro; capacity_gbps = cap }
+        true
       end)
-    specs
+    links
 
 let c_ases = Netsim_obs.Metrics.counter "topo.ases"
 let c_links = Netsim_obs.Metrics.counter "topo.links"
@@ -202,6 +232,7 @@ let generate p =
   Netsim_obs.Span.with_ ~name:"topo.generate" @@ fun () ->
   let rng = Sm.create p.seed in
   let b = new_builder () in
+  let s = new_scratch () in
   (* 1. Tier-1 clique. *)
   let t1_rng = Sm.of_label rng "tier1" in
   let tier1s =
@@ -220,7 +251,9 @@ let generate p =
         (fun j bb ->
           if j > i then begin
             let metros =
-              match common_metros t1_rng ~k:10 (footprint a) (footprint bb) with
+              match
+                common_metros t1_rng s ~k:10 (footprint a) (footprint bb)
+              with
               | [] -> [ (World.find_exn "London").id ]
               | l -> l
             in
@@ -236,13 +269,13 @@ let generate p =
   let continents = Array.of_list Region.all_continents in
   let continent_weights =
     Array.map
-      (fun c -> float_of_int (List.length (city_ids_of_continent c)))
+      (fun c -> float_of_int (List.length (World.by_continent c)))
       continents
   in
+  let pick_continent = Dist.categorical continent_weights in
   let transits =
     List.init p.n_transit (fun i ->
-        let ci = Dist.categorical continent_weights tr_rng in
-        let continent = continents.(ci) in
+        let continent = continents.(pick_continent tr_rng) in
         let id =
           push_as b ~klass:Asn.Transit
             ~name:
@@ -261,7 +294,7 @@ let generate p =
         (fun t1 ->
           let metros =
             match
-              common_metros tr_rng ~k:5 all.(tid).Asn.footprint
+              common_metros tr_rng s ~k:5 all.(tid).Asn.footprint
                 all.(t1).Asn.footprint
             with
             | [] -> [ Asn.home all.(tid) ]
@@ -284,7 +317,7 @@ let generate p =
                 (fun metro ->
                   push_link b tid oid Relation.Peer_private metro
                     p.transit_capacity)
-                (common_metros tr_rng ~k:2 all.(tid).Asn.footprint
+                (common_metros tr_rng s ~k:2 all.(tid).Asn.footprint
                    all.(oid).Asn.footprint))
           rest;
         pair_transits rest
@@ -297,10 +330,10 @@ let generate p =
     World.by_country country
     |> List.fold_left (fun acc (c : City.t) -> acc +. c.population_m) 0.
   in
-  let country_weights = Array.map country_pop countries in
+  let pick_country = Dist.categorical (Array.map country_pop countries) in
   let eyeballs =
     List.init p.n_eyeball (fun i ->
-        let country = countries.(Dist.categorical country_weights eb_rng) in
+        let country = countries.(pick_country eb_rng) in
         let id =
           push_as b ~klass:Asn.Eyeball
             ~name:(Printf.sprintf "EB-%d-%s" i country)
@@ -330,7 +363,7 @@ let generate p =
         (fun tid ->
           let metros =
             match
-              random_metros eb_rng ~k:4 all.(eid).Asn.footprint
+              random_metros eb_rng s ~k:4 all.(eid).Asn.footprint
                 all.(tid).Asn.footprint
             with
             | [] -> [ Asn.home all.(eid) ]
@@ -348,7 +381,7 @@ let generate p =
         let t1 = List.nth tier1s (Sm.next_int eb_rng (List.length tier1s)) in
         let metros =
           match
-            random_metros eb_rng ~k:5 all.(eid).Asn.footprint
+            random_metros eb_rng s ~k:5 all.(eid).Asn.footprint
               all.(t1).Asn.footprint
           with
           | [] -> [ Asn.home all.(eid) ]
@@ -367,7 +400,7 @@ let generate p =
           (fun (oid, _) ->
             if Dist.bernoulli eb_rng ~p:p.eyeball_peering_prob then begin
               match
-                common_metro eb_rng all.(eid).Asn.footprint
+                common_metro eb_rng s all.(eid).Asn.footprint
                   all.(oid).Asn.footprint
               with
               | Some metro ->
@@ -382,11 +415,12 @@ let generate p =
   (* 4. Stub ASes: single-homed to an eyeball or transit at their metro. *)
   let st_rng = Sm.of_label rng "stub" in
   let eyeball_ids = List.map fst eyeballs in
+  let pick_city = Dist.categorical World.population_weights in
   for i = 0 to p.n_stub - 1 do
-    let city = Dist.categorical World.population_weights st_rng in
+    let city = pick_city st_rng in
     let sid =
       push_as b ~klass:Asn.Stub
-        ~name:(Printf.sprintf "ST-%d" i)
+        ~name:("ST-" ^ string_of_int i)
         ~footprint:[| city |]
     in
     let upstream_candidates =
@@ -419,7 +453,12 @@ let generate p =
    the same hierarchy (Tier-1 clique / continental transits /
    per-country eyeballs / single-homed stubs) but replaces the pair
    loops with per-node partner sampling out of metro and continent
-   buckets, so the whole build is O(n + m).  Total construction, in
+   buckets, so the whole build is O(n + m).  Each link decision costs
+   O(footprints): shared metros come from the stamped [scratch], pair
+   dedupe from the per-turn [partner_mark], and no set, hash table or
+   per-draw array copy is built.  Every Splitmix draw keeps its order
+   and bound, so a seed's AS and link arrays never change; the MD5
+   digests in test/test_scale.ml pin them.  Total construction, in
    and out of cap, is part of the contract: every failure mode is an
    [Error], never an exception (fuzzed in test/test_scale.ml). *)
 
@@ -478,13 +517,14 @@ let generate_scale p =
       Netsim_obs.Span.with_ ~name:"topo.generate_scale" @@ fun () ->
       let rng = Sm.create p.sc_seed in
       let b = new_builder () in
+      let s = new_scratch () in
       let n_cities = Array.length World.cities in
       (* 1. Tier-1 clique, global footprints. *)
       let t1_rng = Sm.of_label rng "tier1" in
       let tier1s =
         Array.init p.sc_tier1 (fun i ->
             push_as b ~klass:Asn.Tier1
-              ~name:(Printf.sprintf "T1-%d" i)
+              ~name:("T1-" ^ string_of_int i)
               ~footprint:(tier1_footprint t1_rng))
       in
       let fp = Array.make n_total [||] in
@@ -498,7 +538,7 @@ let generate_scale p =
               if j > i then begin
                 let metros =
                   match
-                    common_metros t1_rng ~k:p.sc_sessions fp.(a) fp.(bb)
+                    common_metros t1_rng s ~k:p.sc_sessions fp.(a) fp.(bb)
                   with
                   | [] -> [ fp.(a).(0) ]
                   | l -> l
@@ -515,21 +555,18 @@ let generate_scale p =
       let continents = Array.of_list Region.all_continents in
       let continent_weights =
         Array.map
-          (fun c -> float_of_int (List.length (city_ids_of_continent c)))
+          (fun c -> float_of_int (List.length (World.by_continent c)))
           continents
       in
+      let pick_continent = Dist.categorical continent_weights in
       let n_cont = Array.length continents in
-      let cont_index c =
-        let rec go i = if continents.(i) = c then i else go (i + 1) in
-        go 0
-      in
       let transit_cont = Array.make p.sc_transit 0 in
       let transits =
         Array.init p.sc_transit (fun i ->
-            let ci = Dist.categorical continent_weights tr_rng in
+            let ci = pick_continent tr_rng in
             let id =
               push_as b ~klass:Asn.Transit
-                ~name:(Printf.sprintf "TR-%d" i)
+                ~name:("TR-" ^ string_of_int i)
                 ~footprint:(transit_footprint tr_rng continents.(ci))
             in
             remember id;
@@ -555,7 +592,7 @@ let generate_scale p =
             (fun t1 ->
               let metros =
                 match
-                  random_metros tr_rng ~k:p.sc_sessions fp.(tid) fp.(t1)
+                  random_metros tr_rng s ~k:p.sc_sessions fp.(tid) fp.(t1)
                 with
                 | [] -> [ fp.(tid).(0) ]
                 | l -> l
@@ -566,16 +603,22 @@ let generate_scale p =
             chosen)
         transits;
       (* Transit peering: per-node partner sampling within the
-         continent (pairs deduped), instead of the O(n^2) pair walk. *)
-      let pair_seen = Hashtbl.create 4096 in
+         continent (pairs deduped), instead of the O(n^2) pair walk.
+         Every transit, then every eyeball, takes one turn of draws, in
+         ascending id order, so a pair seen before [a]'s turn was drawn
+         by a partner [o < a], which listed itself in [earlier.(a)].
+         [begin_turn a] stamps those partners [a] in [partner_mark], as
+         [fresh_pair] does each partner drawn during the turn. *)
+      let partner_mark = Array.make n_total (-1) in
+      let earlier = Array.make n_total [] in
+      let begin_turn a =
+        List.iter (fun o -> partner_mark.(o) <- a) earlier.(a)
+      in
       let fresh_pair a bb =
-        let key =
-          if a < bb then (a * Topology.max_as_count) + bb
-          else (bb * Topology.max_as_count) + a
-        in
-        if Hashtbl.mem pair_seen key then false
+        if partner_mark.(bb) = a then false
         else begin
-          Hashtbl.add pair_seen key ();
+          partner_mark.(bb) <- a;
+          if bb > a then earlier.(bb) <- a :: earlier.(bb);
           true
         end
       in
@@ -583,6 +626,7 @@ let generate_scale p =
         (fun i tid ->
           let bucket = transit_by_cont.(transit_cont.(i)) in
           let nb = Array.length bucket in
+          begin_turn tid;
           if nb > 1 then
             for _ = 1 to p.sc_transit_peer_degree do
               let other = bucket.(Sm.next_int tr_rng nb) in
@@ -590,7 +634,7 @@ let generate_scale p =
                 List.iter
                   (fun metro ->
                     push_link b tid other Relation.Peer_private metro 400.)
-                  (random_metros tr_rng ~k:2 fp.(tid) fp.(other))
+                  (random_metros tr_rng s ~k:2 fp.(tid) fp.(other))
             done)
         transits;
       (* 3. Eyeball ISPs: country by population, providers from the
@@ -602,7 +646,7 @@ let generate_scale p =
         World.by_country country
         |> List.fold_left (fun acc (c : City.t) -> acc +. c.population_m) 0.
       in
-      let country_weights = Array.map country_pop countries in
+      let pick_country = Dist.categorical (Array.map country_pop countries) in
       let eyeballs_at = Array.make n_cities [] in
       let transit_at = Array.make n_cities [] in
       Array.iter
@@ -614,10 +658,10 @@ let generate_scale p =
       let transit_at = Array.map (fun l -> Array.of_list (List.rev l)) transit_at in
       let eyeballs =
         Array.init p.sc_eyeball (fun i ->
-            let country = countries.(Dist.categorical country_weights eb_rng) in
+            let country = countries.(pick_country eb_rng) in
             let id =
               push_as b ~klass:Asn.Eyeball
-                ~name:(Printf.sprintf "EB-%d" i)
+                ~name:("EB-" ^ string_of_int i)
                 ~footprint:(eyeball_footprint eb_rng country)
             in
             remember id;
@@ -631,8 +675,7 @@ let generate_scale p =
       Array.iter
         (fun eid ->
             let home = fp.(eid).(0) in
-            let cont = World.cities.(home).City.continent in
-            let bucket = transit_by_cont.(cont_index cont) in
+            let bucket = transit_by_cont.(continent_rank.(home)) in
             let candidates = if Array.length bucket = 0 then tier1s else bucket in
             let k =
               Stdlib.max 1
@@ -644,7 +687,7 @@ let generate_scale p =
               (fun tid ->
                 let metros =
                   match
-                    random_metros eb_rng ~k:p.sc_sessions fp.(eid) fp.(tid)
+                    random_metros eb_rng s ~k:p.sc_sessions fp.(eid) fp.(tid)
                   with
                   | [] -> [ home ]
                   | l -> l
@@ -657,7 +700,9 @@ let generate_scale p =
             if Dist.bernoulli eb_rng ~p:0.6 then begin
               let t1 = tier1s.(Sm.next_int eb_rng (Array.length tier1s)) in
               let metros =
-                match random_metros eb_rng ~k:p.sc_sessions fp.(eid) fp.(t1) with
+                match
+                  random_metros eb_rng s ~k:p.sc_sessions fp.(eid) fp.(t1)
+                with
                 | [] -> [ home ]
                 | l -> l
               in
@@ -668,6 +713,7 @@ let generate_scale p =
             (* IXP peering with other eyeballs homed at the same metro. *)
             let ix = eyeballs_at.(home) in
             let nix = Array.length ix in
+            begin_turn eid;
             if nix > 1 then
               for _ = 1 to p.sc_eyeball_peer_degree do
                 let other = ix.(Sm.next_int eb_rng nix) in
@@ -678,11 +724,12 @@ let generate_scale p =
       (* 4. Stubs: single-homed (possibly dual sessions) to an AS
          present at their metro. *)
       let st_rng = Sm.of_label rng "stub" in
+      let pick_city = Dist.categorical World.population_weights in
       for i = 0 to p.sc_stub - 1 do
-        let city = Dist.categorical World.population_weights st_rng in
+        let city = pick_city st_rng in
         let sid =
           push_as b ~klass:Asn.Stub
-            ~name:(Printf.sprintf "ST-%d" i)
+            ~name:("ST-" ^ string_of_int i)
             ~footprint:[| city |]
         in
         let upstream =
@@ -700,26 +747,28 @@ let generate_scale p =
           push_link b sid upstream Relation.C2p city 10.
         done
       done;
-      let n_links = List.length b.links_rev in
+      let n_links = b.n_links in
       if n_links > Topology.max_link_count then
         Error
           (Printf.sprintf
              "generate_scale: %d links exceeds the packed cap of %d (2^21)"
              n_links Topology.max_link_count)
       else begin
-        let links =
-          List.rev_map
-            (fun (a, bb, kind, metro, cap) ->
-              { Relation.id = 0; a; b = bb; kind; metro; capacity_gbps = cap })
-            b.links_rev
+        let topo =
+          Topology.make
+            (Array.of_list (List.rev b.ases_rev))
+            (List.rev b.links_rev)
         in
-        let topo = Topology.make (Array.of_list (List.rev b.ases_rev)) links in
         Netsim_obs.Metrics.add c_ases (Topology.as_count topo);
         Netsim_obs.Metrics.add c_links (Topology.link_count topo);
         Ok topo
       end
     with Invalid_argument msg -> Error msg
   end
+
+(* The exported helpers, each with a scratch of its own. *)
+let common_metro rng fa fb = common_metro rng (new_scratch ()) fa fb
+let common_metros rng ~k fa fb = common_metros rng (new_scratch ()) ~k fa fb
 
 (* ---- degenerate shapes ----------------------------------------------- *)
 

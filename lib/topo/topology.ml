@@ -175,11 +175,12 @@ let of_links ~what ases (links : Relation.link array) =
   }
 
 let make ases link_list =
-  of_links ~what:"make" ases
-    (Array.of_list
-       (List.mapi
-          (fun i (l : Relation.link) -> { l with Relation.id = i })
-          link_list))
+  let links = Array.of_list link_list in
+  Array.iteri
+    (fun i (l : Relation.link) ->
+      if l.id <> i then links.(i) <- { l with Relation.id = i })
+    links;
+  of_links ~what:"make" ases links
 
 let of_csr ~ases ~links ~csr_off ~csr_words =
   let t = of_links ~what:"of_csr" ases links in

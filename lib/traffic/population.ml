@@ -32,9 +32,10 @@ let generate topo ~rng ~n_prefixes =
      classic s = 1.1 at a few hundred prefixes; real traffic spreads
      over millions of prefixes. *)
   let zipf = Dist.zipf_make ~n:n_prefixes ~s:0.8 in
+  let sample_host = Dist.categorical host_weights in
   let prefixes =
     Array.init n_prefixes (fun id ->
-        let asid = hosts.(Dist.categorical host_weights rng) in
+        let asid = hosts.(sample_host rng) in
         let fp = (Topology.asn topo asid).Asn.footprint in
         let city = fp.(Sm.next_int rng (Array.length fp)) in
         let popularity = Dist.zipf_weight zipf id in

@@ -265,3 +265,30 @@ let decision s x =
             d_runner;
           }
   end
+
+(* ---- samplers --------------------------------------------------------- *)
+
+let categorical weights rng =
+  let total = Array.fold_left ( +. ) 0. weights in
+  if total <= 0. then invalid_arg "Dist.categorical: weights must sum > 0";
+  let u = Netsim_prng.Splitmix.next_float rng *. total in
+  let n = Array.length weights in
+  let rec go i acc =
+    if i = n - 1 then i
+    else
+      let acc = acc +. weights.(i) in
+      if u < acc then i else go (i + 1) acc
+  in
+  go 0 0.
+
+let sample_without_replacement rng k arr =
+  let n = Array.length arr in
+  let k = min k n in
+  let copy = Array.copy arr in
+  for i = 0 to k - 1 do
+    let j = i + Netsim_prng.Splitmix.next_int rng (n - i) in
+    let tmp = copy.(i) in
+    copy.(i) <- copy.(j);
+    copy.(j) <- tmp
+  done;
+  Array.sub copy 0 k

@@ -42,3 +42,20 @@ val decision :
     the best entry of the next non-empty class) and the tie-break
     rule.  [None] for the origin and for unreachable ASes.  Needs no
     provenance in [s]. *)
+
+(** {2 Samplers}
+
+    The straightforward forms of two [Netsim_prng.Dist] samplers,
+    which the test suite holds the library's versions to on equal rng
+    streams. *)
+
+val categorical : float array -> Netsim_prng.Splitmix.t -> int
+(** A linear scan: one draw [u] scaled by the weights' left-fold sum,
+    then the first index [i < n - 1] whose running sum exceeds [u],
+    else [n - 1].  @raise Invalid_argument unless the weights sum to a
+    positive value. *)
+
+val sample_without_replacement :
+  Netsim_prng.Splitmix.t -> int -> 'a array -> 'a array
+(** A partial Fisher–Yates shuffle of a copy of the array; its first
+    [min k n] slots are the sample. *)

@@ -332,6 +332,60 @@ let prop_shuffle_preserves =
       Dist.shuffle rng arr;
       List.sort compare (Array.to_list arr) = List.sort compare l)
 
+(* The staged, bisecting [Dist.categorical] and the swap-logging
+   [Dist.sample_without_replacement] against the straightforward forms
+   in [Oracle], on equal rng streams: same results, and the streams
+   end in the same state. *)
+
+let same_stream a b = Sm.next_int64 a = Sm.next_int64 b
+
+let weights_gen =
+  let open QCheck.Gen in
+  let weight = frequency [ (1, return 0.); (3, float_range 0.001 100.) ] in
+  let ws =
+    frequency
+      [
+        (3, array_size (int_range 1 12) weight);
+        (1, array_size (int_range 200 400) weight);
+        (* One positive weight among zeros. *)
+        ( 1,
+          int_range 1 40 >>= fun n ->
+          int_range 0 (n - 1) >>= fun hot ->
+          float_range 0.001 100. >|= fun w ->
+          Array.init n (fun i -> if i = hot then w else 0.) );
+      ]
+  in
+  ws >|= fun a ->
+  if Array.exists (fun w -> w > 0.) a then a else Array.append a [| 1. |]
+
+let prop_categorical_matches_oracle =
+  QCheck.Test.make ~name:"categorical == linear-scan oracle" ~count:300
+    QCheck.(pair small_int (make ~print:Print.(array float) weights_gen))
+    (fun (seed, weights) ->
+      let a = Sm.create seed and b = Sm.create seed in
+      let sample = Dist.categorical weights in
+      List.for_all
+        (fun _ -> sample a = Oracle.categorical weights b)
+        (List.init 64 Fun.id)
+      && same_stream a b)
+
+let prop_sample_matches_oracle =
+  QCheck.Test.make
+    ~name:"sample_without_replacement == copying oracle, k in 0..n+2"
+    ~count:300
+    QCheck.(pair small_int (list_of_size Gen.(int_range 0 60) small_int))
+    (fun (seed, l) ->
+      let arr = Array.of_list l in
+      let n = Array.length arr in
+      List.for_all
+        (fun k ->
+          let a = Sm.create (seed + k) and b = Sm.create (seed + k) in
+          let got = Dist.sample_without_replacement a k arr in
+          got = Oracle.sample_without_replacement b k arr
+          && Array.to_list arr = l
+          && same_stream a b)
+        (List.init (n + 3) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -370,6 +424,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_next_int_in_range;
     QCheck_alcotest.to_alcotest prop_float_in_unit;
     QCheck_alcotest.to_alcotest prop_shuffle_preserves;
+    QCheck_alcotest.to_alcotest prop_categorical_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_sample_matches_oracle;
     QCheck_alcotest.to_alcotest prop_label_int;
     QCheck_alcotest.to_alcotest prop_label_int2;
   ]
